@@ -1,7 +1,9 @@
 // Command spotdc-operator runs the operator side of a networked SpotDC
 // deployment (Fig. 5): it serves the market protocol on a TCP address and
 // clears the market once per slot, broadcasting the price and grants to
-// connected tenants.
+// connected tenants. The node itself is spotdc.NewMarketNode — the same
+// assembly the simulator's networked and crash-recovery harnesses test;
+// this command adds flags, the demo topology, signals and logging.
 //
 // The power hierarchy is the paper's Table I testbed; background
 // (non-participating) power is synthesized. Tenants connect with
@@ -51,9 +53,12 @@
 // (-snapshot-every), fsync policy -fsync (record, slot or timer; see
 // -fsync-interval). On startup the operator recovers whatever a previous
 // process committed and resumes the market at the next slot; torn final
-// records from a crash are truncated and the slot re-runs. With -state-dir
-// the -events journal opens in append mode so one journal file spans
-// restarts (-events-sync forces it to disk every N slots). SIGINT/SIGTERM
+// records from a crash are truncated and the slot re-runs. A restart that
+// recovers a market position appends to the -events journal (its header is
+// already on disk), so one journal file spans restarts; a fresh state
+// directory starts a fresh journal (-events-sync forces it to disk every N
+// slots). With -emergency the rack PDU budgets are logged with every slot
+// and restored on restart. SIGINT/SIGTERM
 // stop the loop gracefully at the next slot boundary, then drain in order:
 // WAL close (final fsync), journal sync, summaries. A second signal exits
 // immediately.
@@ -112,23 +117,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Observability is opt-in: a nil registry/journal disables every hook.
-	var (
-		reg      *spotdc.MetricsRegistry
-		journal  *spotdc.SlotJournal
-		mktMet   *spotdc.MarketMetrics
-		opMet    *spotdc.OperatorMetrics
-		protoMet *spotdc.MarketProtoMetrics
-		walMet   *spotdc.WALMetrics
-	)
+	// Observability is opt-in: a nil registry disables every metric hook.
+	var reg *spotdc.MetricsRegistry
 	if *metricsAddr != "" {
 		reg = spotdc.NewMetricsRegistry()
-		mktMet = spotdc.NewMarketMetrics(reg)
-		opMet = spotdc.NewOperatorMetrics(reg)
-		protoMet = spotdc.NewMarketProtoMetrics(reg)
-		if *stateDir != "" {
-			walMet = spotdc.NewWALMetrics(reg)
-		}
 	}
 	// -trace-spans: one tracer shared by the market loop, the server's
 	// broadcast fan-out, and the operator's slot phases, journaled as JSON
@@ -168,29 +160,6 @@ func main() {
 	} else if *pprofOn {
 		log.Printf("spotdc-operator: -pprof has no effect without -metrics-addr")
 	}
-	if *eventsFile != "" {
-		// Without durable state each run truncates and starts a fresh
-		// journal; with -state-dir one journal file spans every lifetime of
-		// the operator, so append and skip the header a previous lifetime
-		// already wrote.
-		mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-		if *stateDir != "" {
-			mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
-		}
-		f, err := os.OpenFile(*eventsFile, mode, 0o644)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		resumed := false
-		if st, err := f.Stat(); err == nil && st.Size() > 0 {
-			resumed = true
-		}
-		journal = spotdc.NewSlotJournalOpts(f, spotdc.SlotJournalOptions{
-			SyncEvery: *eventsSync,
-			Resumed:   resumed,
-		})
-	}
 	logf := func(string, ...interface{}) {}
 	if *verbose {
 		logf = log.Printf
@@ -214,106 +183,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mktOpts := spotdc.MarketOptions{PriceStep: 0.001, Algorithm: algo, Metrics: mktMet}
-	var auditor *spotdc.Auditor
-	if *auditRun {
-		auditor = &spotdc.Auditor{OnViolation: func(v error) {
-			log.Printf("spotdc-operator: AUDIT VIOLATION: %v", v)
-		}}
-		mktOpts.Audit = auditor
-	}
-	opCfg := spotdc.OperatorConfig{
-		Topology:      topo,
-		MarketOptions: mktOpts,
-		Metrics:       opMet,
-		Tracer:        tracer,
-	}
-	// -emergency: one rack PDU per rack is the physical enforcement point;
-	// the responder's SetBudget hook actuates it (and logs the reset).
-	var units []*spotdc.RackPDU
-	if *emergency {
-		var rpm *spotdc.RackPDUMetrics
-		if reg != nil {
-			rpm = spotdc.NewRackPDUMetrics(reg)
-		}
-		units = make([]*spotdc.RackPDU, len(topo.Racks))
-		for i, r := range topo.Racks {
-			units[i], err = spotdc.NewRackPDU(spotdc.RackPDUConfig{
-				ID:          r.ID,
-				BudgetWatts: r.Guaranteed + r.SpotHeadroom,
-				ResetDelay:  *resetDelay,
-				Metrics:     rpm,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
-		opCfg.Emergency = &spotdc.ResponderConfig{
-			EscalationSeverity: *escalation,
-			RecoverySlots:      *recoverySlots,
-			SetBudget: func(rack int, watts float64) error {
-				log.Printf("emergency: rack %s budget reset to %.1f W", topo.Racks[rack].ID, watts)
-				return units[rack].SetBudget(watts)
-			},
-		}
-	}
-	op, err := spotdc.NewOperator(opCfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv, err := spotdc.NewMarketServerOpts(*listen, func(id string) (int, bool) {
-		return topo.RackByID(id)
-	}, spotdc.MarketServerOptions{
-		Wire:       wirePolicy,
-		SessionTTL: *sessionTTL,
-		BidWindow:  *bidWindow,
-		// Racks are single-tenant: reject a hello that claims another
-		// tenant's rack instead of silently mis-billing its grants.
-		OwnerOf: func(i int) string { return topo.Racks[i].Tenant },
-		Metrics: protoMet,
-		Tracer:  tracer,
-		Logf:    logf,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer srv.Close()
-	log.Printf("spotdc-operator: serving market on %s, slot length %ds", srv.Addr(), *slotSeconds)
-
-	// -state-dir: open the write-ahead log and recover whatever a previous
-	// process committed — the books resume exactly where they stopped, and
-	// the market resumes at the slot after the last committed record.
-	firstSlot := 0
-	var walLog *spotdc.WriteAheadLog
-	if *stateDir != "" {
-		policy, err := spotdc.ParseWALSyncPolicy(*fsync)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var rec *spotdc.WALRecovery
-		walLog, rec, err = spotdc.OpenWAL(spotdc.WALOptions{
-			Dir:           *stateDir,
-			Policy:        policy,
-			TimerInterval: *fsyncInterval,
-			Metrics:       walMet,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		recovered, err := spotdc.RecoverMarketState(rec, op, srv)
-		if err != nil {
-			log.Fatalf("spotdc-operator: state recovery: %v", err)
-		}
-		firstSlot = recovered.NextSlot
-		if firstSlot > 0 {
-			log.Printf("spotdc-operator: recovered %s: resuming at slot %d (snapshot %v, %d slot records replayed, %d degraded, %d torn tail(s) repaired), spot revenue so far $%.6f",
-				*stateDir, firstSlot, recovered.HadSnapshot, recovered.SlotsReplayed,
-				recovered.DegradedReplayed, recovered.Truncations, op.SpotRevenue())
-		} else {
-			log.Printf("spotdc-operator: fresh state directory %s (fsync policy %s)", *stateDir, policy)
-		}
-	}
-
 	// Background (non-participating) power per PDU.
 	others := make([]*trace.Power, len(topo.PDUs))
 	for m := range others {
@@ -328,53 +197,77 @@ func main() {
 		others[m] = tr
 	}
 
-	// This demo binary has no rack telemetry feed, so it references racks
-	// at a typical 75% utilization of their guarantee; a production
-	// deployment wires ReadTotal from the rack PDUs here instead. Racks
-	// that bid are referenced at their full guarantee by the operator
-	// regardless (Section III-C).
-	reading := spotdc.Reading{
-		RackWatts:     make([]float64, len(topo.Racks)),
-		OtherPDUWatts: make([]float64, len(topo.PDUs)),
-	}
-	for i, r := range topo.Racks {
-		reading.RackWatts[i] = 0.75 * r.Guaranteed
-	}
-
-	// The epoch is shifted back by the recovered slot count so slot
-	// numbering continues where the previous lifetime stopped, with the
-	// first live slot still a full slot length away.
 	slotLen := time.Duration(*slotSeconds) * time.Second
-	clock, err := spotdc.NewSlotClock(
-		time.Now().Add(slotLen).Add(-time.Duration(firstSlot)*slotLen), slotLen)
+	cfg := spotdc.MarketNodeConfig{
+		Operator: spotdc.OperatorConfig{
+			Topology:      topo,
+			MarketOptions: spotdc.MarketOptions{PriceStep: 0.001, Algorithm: algo},
+		},
+		Listen: *listen,
+		Server: spotdc.MarketServerOptions{
+			Wire:       wirePolicy,
+			SessionTTL: *sessionTTL,
+			BidWindow:  *bidWindow,
+			Logf:       logf,
+		},
+		BreakerTolerance: *breakerTol,
+		ResetDelay:       *resetDelay,
+		// The demo has no rack telemetry feed: the node references racks at
+		// 75% of their guarantee, with this synthesized background load.
+		OtherLoad:              others,
+		SlotLen:                slotLen,
+		Lead:                   slotLen,
+		MaxConsecutiveFailures: *maxFailures,
+		BreakerCooldownSlots:   *breakerCooldown,
+		SnapshotEvery:          *snapshotEvery,
+		JournalPath:            *eventsFile,
+		JournalSyncEvery:       *eventsSync,
+		Registry:               reg,
+		Tracer:                 tracer,
+	}
+	var auditor *spotdc.Auditor
+	if *auditRun {
+		auditor = &spotdc.Auditor{OnViolation: func(v error) {
+			log.Printf("spotdc-operator: AUDIT VIOLATION: %v", v)
+		}}
+		cfg.Operator.MarketOptions.Audit = auditor
+	}
+	if *emergency {
+		// One rack PDU per rack is the physical enforcement point; the
+		// responder's resets land there (and are logged here).
+		cfg.Operator.Emergency = &spotdc.ResponderConfig{
+			EscalationSeverity: *escalation,
+			RecoverySlots:      *recoverySlots,
+			SetBudget: func(rack int, watts float64) error {
+				log.Printf("emergency: rack %s budget reset to %.1f W", topo.Racks[rack].ID, watts)
+				return nil
+			},
+		}
+	}
+	if *stateDir != "" {
+		policy, err := spotdc.ParseWALSyncPolicy(*fsync)
+		if err != nil {
+			log.Fatal(err)
+		}
+		cfg.WAL = spotdc.WALOptions{Dir: *stateDir, Policy: policy, TimerInterval: *fsyncInterval}
+	}
+	n, err := spotdc.NewMarketNode(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	loop := spotdc.MarketLoop{
-		Server:   srv,
-		Operator: op,
-		Clock:    clock,
-		Reading: func(slot int) spotdc.Reading {
-			for m := range others {
-				reading.OtherPDUWatts[m] = others[m].At(slot)
-			}
-			// With -emergency the rack PDU budget is the physical cap: a
-			// reclaimed rack cannot draw above its reset budget.
-			for i := range units {
-				w := 0.75 * topo.Racks[i].Guaranteed
-				if b := units[i].Budget(); w > b {
-					w = b
-				}
-				reading.RackWatts[i] = w
-			}
-			return reading
-		},
-		RackID:                 func(i int) string { return topo.Racks[i].ID },
-		MaxConsecutiveFailures: *maxFailures,
-		BreakerCooldownSlots:   *breakerCooldown,
-		Journal:                journal,
-		Tracer:                 tracer,
+	log.Printf("spotdc-operator: serving market on %s, slot length %ds", n.Server.Addr(), *slotSeconds)
+	firstSlot := n.NextSlot()
+	if rec := n.Recovered; rec != nil {
+		if firstSlot > 0 {
+			log.Printf("spotdc-operator: recovered %s: resuming at slot %d (snapshot %v, %d slot records replayed, %d degraded, %d torn tail(s) repaired), spot revenue so far $%.6f",
+				*stateDir, firstSlot, rec.HadSnapshot, rec.SlotsReplayed,
+				rec.DegradedReplayed, rec.Truncations, n.Operator.SpotRevenue())
+		} else {
+			log.Printf("spotdc-operator: fresh state directory %s (fsync policy %s)", *stateDir, cfg.WAL.Policy)
+		}
 	}
+
+	loop, op := n.Loop, n.Operator
 	// slotTag prefixes a log line with the slot and its trace ID, so a
 	// degraded slot in the log joins its span tree in -trace-spans with one
 	// grep ("-" when tracing is off).
@@ -385,24 +278,16 @@ func main() {
 		return fmt.Sprintf("slot=%d trace=-", slot)
 	}
 	// Per-slot narration is verbose-only; the journal and /metrics are
-	// the always-available records. (Assigned outside the literal: the
-	// closures read loop.SlotTrace.)
+	// the always-available records.
 	loop.OnSlot = func(slot int, out spotdc.SlotOutcome, bids int) {
 		logf("%s: %d bids from %v, price $%.3f/kWh, sold %.1f W, revenue $%.6f (total $%.6f)",
-			slotTag(slot), bids, srv.Sessions(), out.Result.Price, out.Result.TotalWatts,
+			slotTag(slot), bids, n.Server.Sessions(), out.Result.Price, out.Result.TotalWatts,
 			out.RevenueThisSlot, op.SpotRevenue())
 	}
 	// Section III-C: a failed slot degrades to the no-spot default and
 	// the market keeps running; it is logged, never fatal.
 	loop.OnSlotError = func(slot int, err error) {
 		log.Printf("%s: degraded to no-spot default: %v", slotTag(slot), err)
-	}
-	if *emergency {
-		loop.CheckEmergencies = true
-		loop.BreakerTolerance = *breakerTol
-	}
-	if walLog != nil {
-		loop.Durable = &spotdc.MarketDurability{Log: walLog, SnapshotEvery: *snapshotEvery}
 	}
 
 	// Graceful shutdown: the first SIGINT/SIGTERM stops the loop at the
@@ -420,37 +305,32 @@ func main() {
 	}()
 	loop.Stop = stop
 
-	n := *slots
-	if n == 0 {
-		n = 1 << 30 // effectively forever
+	horizon := *slots
+	if horizon == 0 {
+		horizon = 1 << 30 // effectively forever
 	}
-	cleared, err := loop.RunSlots(firstSlot, n)
+	cleared, err := n.Run(horizon)
 
 	// Ordered drain regardless of how the loop ended: make the log durable
 	// first (a sticky WAL error never stopped the market — surface it now),
 	// then flush the journal, then summarize.
-	if walLog != nil {
-		if cerr := walLog.Close(); cerr != nil {
-			log.Printf("spotdc-operator: WAL degraded: %v", cerr)
-		} else {
-			log.Printf("spotdc-operator: state committed through slot %d in %s", firstSlot+cleared+loop.SlotErrors()-1, *stateDir)
-		}
-	}
-	if serr := journal.Sync(); serr != nil {
-		log.Printf("spotdc-operator: slot journal sync: %v", serr)
+	if cerr := n.Close(); cerr != nil {
+		log.Printf("spotdc-operator: %v", cerr)
+	} else if n.Log != nil {
+		log.Printf("spotdc-operator: state committed through slot %d in %s", firstSlot+cleared+loop.SlotErrors()-1, *stateDir)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
 	if degraded := loop.SlotErrors(); degraded > 0 {
 		log.Printf("spotdc-operator: %d/%d slots cleared, %d degraded (breaker open: %v)",
-			cleared, n, degraded, loop.BreakerTripped())
+			cleared, horizon, degraded, loop.BreakerTripped())
 	}
 	if *emergency {
 		log.Printf("spotdc-operator: emergency responder: %d emergencies acted on, %.1f W spot reclaimed, %.1f W guaranteed curtailed (%d involuntary cuts)",
 			op.EmergenciesActed(), op.ReclaimedWatts(), op.GuaranteedCutWatts(), op.InvoluntaryCuts())
 	}
-	if err := journal.Err(); err != nil {
+	if err := n.Journal.Err(); err != nil {
 		log.Printf("spotdc-operator: slot journal degraded: %v", err)
 	}
 	if auditor != nil {

@@ -18,6 +18,7 @@ package proto
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -159,9 +160,15 @@ type Wire interface {
 
 // Codec reads and writes newline-delimited JSON messages on a stream.
 type Codec struct {
-	r *bufio.Scanner
-	w *bufio.Writer
-	c io.Closer
+	r io.Reader
+	// in buffers input, in[:next] being the line Recv returned last. A
+	// partly read line survives a read error here, so a Recv that timed
+	// out resumes it (a bufio.Scanner's errors are sticky: one timed-out
+	// wait would make the session deaf).
+	in   []byte
+	next int
+	w    *bufio.Writer
+	c    io.Closer
 }
 
 // NewCodec wraps a connection.
@@ -173,9 +180,7 @@ func NewCodec(rw io.ReadWriteCloser) *Codec {
 // peeks the first byte through a shared bufio.Reader to negotiate the
 // encoding, then hands the same reader here).
 func newJSONCodec(r io.Reader, wc io.WriteCloser) *Codec {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 4096), MaxLineBytes)
-	return &Codec{r: sc, w: bufio.NewWriter(wc), c: wc}
+	return &Codec{r: r, in: make([]byte, 0, 4096), w: bufio.NewWriter(wc), c: wc}
 }
 
 // Encoding identifies the codec as the JSON wire encoding.
@@ -198,14 +203,12 @@ func (c *Codec) Send(m Message) error {
 
 // Recv reads one message. io.EOF signals a clean close.
 func (c *Codec) Recv() (Message, error) {
-	if !c.r.Scan() {
-		if err := c.r.Err(); err != nil {
-			return Message{}, err
-		}
-		return Message{}, io.EOF
+	line, err := c.readLine()
+	if err != nil {
+		return Message{}, err
 	}
 	var m Message
-	if err := json.Unmarshal(c.r.Bytes(), &m); err != nil {
+	if err := json.Unmarshal(line, &m); err != nil {
 		return Message{}, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
 	if m.Type == "" {
@@ -213,6 +216,39 @@ func (c *Codec) Recv() (Message, error) {
 	}
 	return m, nil
 }
+
+// readLine returns the next line without its "\n" (or "\r\n"), valid until
+// the next call. A final unterminated line before EOF counts as a line.
+// Lines longer than MaxLineBytes fail with ErrProtocol.
+func (c *Codec) readLine() ([]byte, error) {
+	c.in = c.in[:copy(c.in, c.in[c.next:])]
+	c.next = 0
+	for scanned := 0; ; {
+		if i := bytes.IndexByte(c.in[scanned:], '\n'); i >= 0 {
+			c.next = scanned + i + 1
+			return bytes.TrimSuffix(c.in[:scanned+i], cr), nil
+		}
+		if scanned = len(c.in); scanned >= MaxLineBytes {
+			return nil, fmt.Errorf("%w: line exceeds %d bytes", ErrProtocol, MaxLineBytes)
+		}
+		if scanned == cap(c.in) {
+			c.in = append(make([]byte, 0, min(2*scanned, MaxLineBytes)), c.in...)
+		}
+		// Scan whatever arrived before acting on an error; a lasting error
+		// repeats on the next Read.
+		n, err := c.r.Read(c.in[scanned:cap(c.in)])
+		if c.in = c.in[:scanned+n]; n > 0 || err == nil {
+			continue
+		}
+		if err == io.EOF && scanned > 0 {
+			c.next = scanned
+			return bytes.TrimSuffix(c.in, cr), nil
+		}
+		return nil, err
+	}
+}
+
+var cr = []byte{'\r'}
 
 // Close closes the underlying stream.
 func (c *Codec) Close() error { return c.c.Close() }

@@ -6,35 +6,30 @@
 // (wal.Log.Kill — no flush, no close), the server goes away, and a fresh
 // "process" (new operator, new server, new rack-PDU emulations, new tenant
 // sessions) recovers from the state directory and resumes. The harness
-// exists to prove the PR's durability claim end to end: a killed-and-
-// recovered run must produce invoices, responder state, and a journal
-// bit-identical to an uninterrupted run of the same seed.
+// exists to prove the durability claim end to end: a killed-and-recovered
+// run must produce invoices, responder state, and a journal bit-identical
+// to an uninterrupted run of the same seed. Each lifetime is one
+// runLifetime call building one node.Node, the same assembly NetRun and
+// cmd/spotdc-operator use.
 //
 // Determinism discipline: crash runs take no protocol faults (injectors
 // are seed-positional and cannot resume mid-schedule), the loop's
 // BeforeBids barrier waits for every expected bid to arrive before the
-// drain (so scheduling jitter cannot slip a bid to the no-spot default in
-// one run but not the other), and Server.TakeBids hands bids over in
+// drain — bounded by a fixed timeout that fails the run, never by the slot
+// clock, so a slow host cannot slip a bid to the no-spot default in one
+// run but not the other — and Server.TakeBids hands bids over in
 // canonical rack order. Everything else — readings, traces, overloads —
 // is already a pure function of the slot index.
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
-	"time"
 
-	"spotdc/internal/core"
-	"spotdc/internal/metrics"
 	"spotdc/internal/operator"
-	"spotdc/internal/power"
 	"spotdc/internal/proto"
-	"spotdc/internal/rackpdu"
 	"spotdc/internal/tenant"
 	"spotdc/internal/wal"
 )
@@ -111,15 +106,6 @@ type CrashResult struct {
 	Checkpoint  operator.Checkpoint
 }
 
-// crashExtra is the sim-owned durable payload piggy-backed on every slot
-// record and snapshot: the emulated rack PDUs' power budgets (physical
-// state the next lifetime's readings depend on) plus the caller's opaque
-// state.
-type crashExtra struct {
-	Budgets []float64       `json:"budgets,omitempty"`
-	Caller  json.RawMessage `json:"caller,omitempty"`
-}
-
 func (c *CrashRunOptions) validate(sc Scenario, opts NetRunOptions) error {
 	if c.StateDir == "" {
 		return fmt.Errorf("sim: crash run needs a StateDir")
@@ -130,7 +116,7 @@ func (c *CrashRunOptions) validate(sc Scenario, opts NetRunOptions) error {
 	if opts.Registry != nil {
 		return fmt.Errorf("sim: crash runs do not support a metrics registry (families would re-register per lifetime)")
 	}
-	if opts.BidFaults != (proto.FaultPlan{}) || opts.BroadcastFaults != (proto.FaultPlan{}) {
+	if !faultFree(opts) {
 		return fmt.Errorf("sim: crash runs take no protocol faults (injector schedules are seed-positional and cannot resume)")
 	}
 	prev := -1
@@ -195,9 +181,9 @@ func tearWALTail(dir string) error {
 }
 
 // CrashNetRun executes the scenario as a sequence of operator lifetimes
-// separated by the configured kills, recovering each lifetime from the
-// StateDir. See the package comment in this file for the determinism
-// contract.
+// separated by the configured kills, each recovered from the StateDir by
+// the same lifetime runner NetRun uses. See the package comment in this
+// file for the determinism contract.
 func CrashNetRun(sc Scenario, opts NetRunOptions, crash CrashRunOptions) (*CrashResult, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
@@ -206,348 +192,31 @@ func CrashNetRun(sc Scenario, opts NetRunOptions, crash CrashRunOptions) (*Crash
 	if err := crash.validate(sc, opts); err != nil {
 		return nil, err
 	}
-	expect := expectedBids(sc)
 	res := &CrashResult{}
-	resume := 0
+	from := 0
 	for seg := 0; seg <= len(crash.Kills); seg++ {
-		var kill *CrashKill
-		end := sc.Slots
+		lt := lifetime{from: from, to: sc.Slots, crash: &crash, restart: seg}
 		if seg < len(crash.Kills) {
-			kill = &crash.Kills[seg]
-			end = kill.AfterSlot + 1
+			lt.kill = &crash.Kills[seg]
+			lt.to = lt.kill.AfterSlot + 1
 		}
-		if err := runCrashSegment(sc, opts, crash, res, seg, resume, end, kill, expect); err != nil {
-			return nil, fmt.Errorf("sim: crash segment %d (slots %d..%d): %w", seg, resume, end-1, err)
+		lres, n, err := runLifetime(sc, opts, lt)
+		if err == nil && lt.kill != nil && lt.kill.TearTail {
+			err = tearWALTail(crash.StateDir)
 		}
-		resume = end
+		if err != nil {
+			return nil, fmt.Errorf("sim: crash segment %d (slots %d..%d): %w", seg, from, lt.to-1, err)
+		}
 		res.Segments++
+		res.Truncations += n.Recovered.Truncations
+		res.Replayed += n.Recovered.SlotsReplayed
+		res.Cleared += lres.Cleared
+		res.SlotErrors += lres.SlotErrors
+		res.InfeasibleSlots += lres.InfeasibleSlots
+		// The last lifetime's books are the run's.
+		res.SpotRevenue = lres.SpotRevenue
+		res.Checkpoint = n.Operator.Checkpoint()
+		from = lt.to
 	}
 	return res, nil
-}
-
-// runCrashSegment is one operator lifetime: recover from the state dir,
-// run slots [resume, end), then either shut down cleanly (final segment)
-// or die per the kill.
-func runCrashSegment(sc Scenario, opts NetRunOptions, crash CrashRunOptions, res *CrashResult,
-	seg, resume, end int, kill *CrashKill, expect []int) error {
-	topo := sc.Topo
-	var aud *core.Auditor
-	if opts.Audit {
-		aud = &core.Auditor{}
-		sc.MarketOptions.Audit = aud
-	}
-	opCfg := operator.Config{
-		Topology:      topo,
-		MarketOptions: sc.MarketOptions,
-		Pricing:       sc.Pricing,
-		Predict:       sc.Predict,
-	}
-	var units []*rackpdu.PDU
-	if em := opts.Emergency; em != nil {
-		if em.OverloadPDU < 0 || em.OverloadPDU >= len(topo.PDUs) {
-			return fmt.Errorf("emergency OverloadPDU %d of %d", em.OverloadPDU, len(topo.PDUs))
-		}
-		units = make([]*rackpdu.PDU, len(topo.Racks))
-		for i, r := range topo.Racks {
-			unit, err := rackpdu.New(rackpdu.Config{
-				ID:          r.ID,
-				BudgetWatts: r.Guaranteed + r.SpotHeadroom,
-				ResetDelay:  em.ResetDelay,
-			})
-			if err != nil {
-				return err
-			}
-			units[i] = unit
-		}
-		opCfg.Emergency = &operator.ResponderConfig{
-			EscalationSeverity: em.EscalationSeverity,
-			RecoverySlots:      em.RecoverySlots,
-			SetBudget: func(rack int, budgetWatts float64) error {
-				return units[rack].SetBudget(budgetWatts)
-			},
-		}
-	}
-	op, err := operator.New(opCfg)
-	if err != nil {
-		return err
-	}
-	srv, err := proto.NewServerOpts("127.0.0.1:0", func(id string) (int, bool) {
-		return topo.RackByID(id)
-	}, proto.ServerOptions{
-		SessionTTL: opts.SessionTTL,
-		BidWindow:  opts.BidWindow,
-		OwnerOf:    func(i int) string { return topo.Racks[i].Tenant },
-	})
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-
-	log, rec, err := wal.Open(wal.Options{
-		Dir:          crash.StateDir,
-		Policy:       crash.Policy,
-		SegmentBytes: crash.SegmentBytes,
-	})
-	if err != nil {
-		return err
-	}
-	recovered, err := proto.RecoverDurable(rec, op, srv)
-	if err != nil {
-		log.Close()
-		return err
-	}
-	res.Truncations += recovered.Truncations
-	res.Replayed += recovered.SlotsReplayed
-	if recovered.NextSlot != resume {
-		log.Close()
-		return fmt.Errorf("recovered to slot %d, harness expected %d", recovered.NextSlot, resume)
-	}
-	// Rebuild the caller's state (snapshot, then replayed slots in order)
-	// and the rack PDUs' budgets (the newest capture wins — it is the
-	// physical state the next reading depends on).
-	var lastBudgets []float64
-	restoreExtra := func(raw []byte, snapshot bool) error {
-		if len(raw) == 0 {
-			return nil
-		}
-		var e crashExtra
-		if err := json.Unmarshal(raw, &e); err != nil {
-			return fmt.Errorf("corrupt harness extra: %w", err)
-		}
-		if e.Budgets != nil {
-			lastBudgets = e.Budgets
-		}
-		if snapshot && crash.RestoreSnapshot != nil && e.Caller != nil {
-			return crash.RestoreSnapshot(e.Caller)
-		}
-		if !snapshot && crash.ReplaySlot != nil && e.Caller != nil {
-			return crash.ReplaySlot(e.Caller)
-		}
-		return nil
-	}
-	if err := restoreExtra(recovered.ExtraSnapshot, true); err != nil {
-		log.Close()
-		return err
-	}
-	for _, raw := range recovered.ExtraSlots {
-		if err := restoreExtra(raw, false); err != nil {
-			log.Close()
-			return err
-		}
-	}
-	if units != nil && lastBudgets != nil {
-		if len(lastBudgets) != len(units) {
-			log.Close()
-			return fmt.Errorf("recovered %d rack budgets for %d racks", len(lastBudgets), len(units))
-		}
-		for i, b := range lastBudgets {
-			if err := units[i].SetBudget(b); err != nil {
-				log.Close()
-				return err
-			}
-		}
-	}
-	if seg > 0 && crash.OnRestart != nil {
-		crash.OnRestart(seg, recovered)
-	}
-
-	// The journal survives the crash as a plain append-only file; recovered
-	// lifetimes reopen it with the header already on disk.
-	var journal *metrics.Journal
-	if crash.JournalPath != "" {
-		flags := os.O_CREATE | os.O_WRONLY
-		if seg == 0 {
-			flags |= os.O_TRUNC
-		} else {
-			flags |= os.O_APPEND
-		}
-		jf, err := os.OpenFile(crash.JournalPath, flags, 0o644)
-		if err != nil {
-			log.Close()
-			return err
-		}
-		defer jf.Close()
-		journal = metrics.NewJournalOpts(jf, metrics.JournalOptions{
-			SyncEvery: crash.JournalSyncEvery,
-			Resumed:   seg > 0,
-		})
-	}
-
-	clock, err := proto.NewSlotClock(
-		time.Now().Add(2*opts.SlotLen).Add(-time.Duration(resume)*opts.SlotLen), opts.SlotLen)
-	if err != nil {
-		log.Close()
-		return err
-	}
-
-	// Reference reading, as in NetRun: racks at 75% of guarantee (capped at
-	// their rack PDU's budget when the emergency loop is armed), with
-	// NaN poisoning and overload surges on their scheduled slots.
-	errorSlot := make(map[int]bool, len(opts.ErrorSlots))
-	for _, s := range opts.ErrorSlots {
-		errorSlot[s] = true
-	}
-	surgeSlot := make(map[int]bool)
-	if opts.Emergency != nil {
-		for _, s := range opts.Emergency.OverloadSlots {
-			surgeSlot[s] = true
-		}
-	}
-	rackWatts := make([]float64, len(topo.Racks))
-	otherWatts := make([]float64, len(topo.PDUs))
-	reading := func(slot int) power.Reading {
-		if errorSlot[slot] {
-			return power.Reading{
-				RackWatts:     []float64{math.NaN()},
-				OtherPDUWatts: otherWatts,
-			}
-		}
-		for m := range otherWatts {
-			otherWatts[m] = sc.OtherLoad[m].At(slot)
-		}
-		for i, r := range topo.Racks {
-			w := 0.75 * r.Guaranteed
-			if em := opts.Emergency; em != nil {
-				if surgeSlot[slot] && r.PDU == em.OverloadPDU {
-					w += em.OverloadRackWatts
-				}
-				if b := units[i].Budget(); w > b {
-					w = b
-				}
-			}
-			rackWatts[i] = w
-		}
-		return power.Reading{RackWatts: rackWatts, OtherPDUWatts: otherWatts}
-	}
-
-	slotLen := opts.SlotLen
-	loop := proto.MarketLoop{
-		Server:                 srv,
-		Operator:               op,
-		Clock:                  clock,
-		Reading:                reading,
-		RackID:                 func(i int) string { return topo.Racks[i].ID },
-		MaxConsecutiveFailures: opts.MaxConsecutiveFailures,
-		BreakerCooldownSlots:   opts.BreakerCooldownSlots,
-		Journal:                journal,
-		Durable: &proto.Durable{
-			Log:           log,
-			SnapshotEvery: crash.SnapshotEvery,
-			OnCommit:      crash.OnCommit,
-			ExtraSlot: func(slot int) ([]byte, error) {
-				return marshalCrashExtra(units, func() ([]byte, error) {
-					if crash.ExtraSlot == nil {
-						return nil, nil
-					}
-					return crash.ExtraSlot(slot)
-				})
-			},
-			ExtraSnapshot: func() ([]byte, error) {
-				return marshalCrashExtra(units, func() ([]byte, error) {
-					if crash.ExtraSnapshot == nil {
-						return nil, nil
-					}
-					return crash.ExtraSnapshot()
-				})
-			},
-		},
-		// Bid-arrival barrier: every run, interrupted or not, must drain
-		// the same bid set per slot. Bounded by a quarter slot so a dead
-		// tenant cannot stall the market.
-		BeforeBids: func(slot int) {
-			deadline := clock.StartOf(slot).Add(slotLen / 4)
-			for srv.BufferedBids(slot) < expect[slot] && time.Now().Before(deadline) {
-				time.Sleep(200 * time.Microsecond)
-			}
-		},
-		OnSlot: func(slot int, out operator.SlotOutcome, bids int) {
-			if err := op.VerifyFeasible(out.Result.Allocations); err != nil {
-				res.InfeasibleSlots++
-			}
-		},
-	}
-	if em := opts.Emergency; em != nil {
-		tol := em.BreakerTolerance
-		if tol == 0 {
-			tol = sc.BreakerTolerance
-		}
-		if tol == 0 {
-			tol = 0.05
-		}
-		loop.CheckEmergencies = true
-		loop.BreakerTolerance = tol
-	}
-
-	inj, err := proto.NewFaultInjector(proto.FaultPlan{})
-	if err != nil {
-		log.Close()
-		return err
-	}
-	var wg sync.WaitGroup
-	for idx := range sc.Agents {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			runNetTenant(sc.Agents[idx], topo, srv.Addr(), clock, resume, end, inj, nil, opts, int64(idx))
-		}(idx)
-	}
-
-	cleared, runErr := loop.RunSlots(resume, end-resume)
-	wg.Wait()
-	if runErr != nil {
-		log.Close()
-		return runErr
-	}
-	res.Cleared += cleared
-	res.SlotErrors += loop.SlotErrors()
-
-	if kill != nil {
-		// Die: yank the WAL's descriptors without flushing, optionally
-		// leave a torn record behind. The journal file closes via defer —
-		// a plain fd close loses nothing already written.
-		srv.Close()
-		log.Kill()
-		if kill.TearTail {
-			return tearWALTail(crash.StateDir)
-		}
-		return nil
-	}
-	// Final lifetime: orderly shutdown, then surface the books.
-	if err := log.Close(); err != nil {
-		return err
-	}
-	if journal != nil {
-		if err := journal.Sync(); err != nil {
-			return err
-		}
-	}
-	if opts.Audit {
-		if n := aud.Violations(); n > 0 {
-			return fmt.Errorf("audit found %d clearing violation(s): %w", n, aud.Err())
-		}
-		if err := op.ReconcileAccounts(); err != nil {
-			return fmt.Errorf("audit: %w", err)
-		}
-	}
-	res.SpotRevenue = op.SpotRevenue()
-	res.Checkpoint = op.Checkpoint()
-	return nil
-}
-
-// marshalCrashExtra builds one slot/snapshot extra payload: current rack
-// PDU budgets (when armed) plus the caller's opaque state.
-func marshalCrashExtra(units []*rackpdu.PDU, caller func() ([]byte, error)) ([]byte, error) {
-	var e crashExtra
-	if units != nil {
-		e.Budgets = make([]float64, len(units))
-		for i, u := range units {
-			e.Budgets[i] = u.Budget()
-		}
-	}
-	raw, err := caller()
-	if err != nil {
-		return nil, err
-	}
-	e.Caller = raw
-	return json.Marshal(e)
 }

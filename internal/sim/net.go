@@ -15,12 +15,13 @@ import (
 
 	"spotdc/internal/core"
 	"spotdc/internal/metrics"
+	"spotdc/internal/node"
 	"spotdc/internal/operator"
 	"spotdc/internal/otrace"
 	"spotdc/internal/power"
 	"spotdc/internal/proto"
-	"spotdc/internal/rackpdu"
 	"spotdc/internal/tenant"
+	"spotdc/internal/wal"
 )
 
 // NetEmergencyOptions arms the emergency loop end to end over the wire:
@@ -211,10 +212,10 @@ func netBids(topo *power.Topology, bids []core.Bid) []proto.RackBid {
 }
 
 // NetRun executes the scenario's market over real TCP connections with the
-// given fault schedule. The operator side runs proto.MarketLoop (with its
-// degradation semantics); each agent runs a tenant goroutine that bids per
-// slot and awaits the price broadcast, pacing itself by the shared slot
-// clock so a missed broadcast costs exactly one slot. Agents' Execute
+// given fault schedule. The operator side is a node.Node (proto.MarketLoop
+// with its degradation semantics); each agent runs a tenant goroutine that
+// bids per slot and awaits the price broadcast, pacing itself by the shared
+// slot clock so a missed broadcast costs exactly one slot. Agents' Execute
 // feedback is not replayed into the readings — racks are referenced at 75%
 // of their guarantee, as in the spotdc-operator demo — because the harness
 // exists to stress the transport, not the workload models.
@@ -223,180 +224,169 @@ func NetRun(sc Scenario, opts NetRunOptions) (*NetResult, error) {
 		return nil, err
 	}
 	opts.setDefaults()
-	var opMetrics *operator.Metrics
-	var protoMetrics *proto.Metrics
-	if opts.Registry != nil {
-		sc.MarketOptions.Metrics = core.NewMarketMetrics(opts.Registry)
-		opMetrics = operator.NewMetrics(opts.Registry)
-		protoMetrics = proto.NewMetrics(opts.Registry)
-	}
+	res, _, err := runLifetime(sc, opts, lifetime{to: sc.Slots})
+	return res, err
+}
+
+// bidBarrierTimeout bounds the wait for a slot's expected bids on a
+// fault-free lifetime. It is deliberately not tied to the slot clock: a
+// slow host delays the slot instead of silently draining a partial bid
+// set, and only a tenant that is truly gone fails the run.
+const bidBarrierTimeout = 20 * time.Second
+
+// faultFree reports whether a run injects no protocol faults in either
+// direction — the precondition for the bid-arrival barrier.
+func faultFree(opts NetRunOptions) bool {
+	return opts.BidFaults == (proto.FaultPlan{}) && opts.BroadcastFaults == (proto.FaultPlan{})
+}
+
+// lifetime is one operator process of a networked run: slots [from, to),
+// recovered from the crash plan's state dir when crash is set (nil: an
+// in-memory NetRun). restart numbers recovered lifetimes from 1; kill, if
+// non-nil, ends the lifetime in a simulated process death.
+type lifetime struct {
+	from, to int
+	crash    *CrashRunOptions
+	restart  int
+	kill     *CrashKill
+}
+
+// runLifetime builds one market node, runs the agents against it as
+// networked tenants for the lifetime's slots, and ends the node. The
+// returned node is already closed or killed; its operator holds the books.
+func runLifetime(sc Scenario, opts NetRunOptions, lt lifetime) (*NetResult, *node.Node, error) {
+	topo := sc.Topo
 	var aud *core.Auditor
 	if opts.Audit {
 		aud = &core.Auditor{}
 		sc.MarketOptions.Audit = aud
 	}
-	topo := sc.Topo
-	opCfg := operator.Config{
-		Topology:      topo,
-		MarketOptions: sc.MarketOptions,
-		Pricing:       sc.Pricing,
-		Predict:       sc.Predict,
-		Metrics:       opMetrics,
-		Tracer:        opts.Tracer,
-	}
-	// With the emergency loop armed, every rack gets an emulated intelligent
-	// PDU: the responder's budget resets land there, and the unit's budget is
-	// the authoritative physical cap on what the rack can draw.
-	var units []*rackpdu.PDU
-	if em := opts.Emergency; em != nil {
-		if em.OverloadPDU < 0 || em.OverloadPDU >= len(topo.PDUs) {
-			return nil, fmt.Errorf("sim: emergency OverloadPDU %d of %d", em.OverloadPDU, len(topo.PDUs))
-		}
-		var rpm *rackpdu.Metrics
-		if opts.Registry != nil {
-			rpm = rackpdu.NewMetrics(opts.Registry)
-		}
-		units = make([]*rackpdu.PDU, len(topo.Racks))
-		for i, r := range topo.Racks {
-			unit, err := rackpdu.New(rackpdu.Config{
-				ID:          r.ID,
-				BudgetWatts: r.Guaranteed + r.SpotHeadroom,
-				ResetDelay:  em.ResetDelay,
-				Metrics:     rpm,
-			})
-			if err != nil {
-				return nil, err
-			}
-			units[i] = unit
-		}
-		opCfg.Emergency = &operator.ResponderConfig{
-			EscalationSeverity: em.EscalationSeverity,
-			RecoverySlots:      em.RecoverySlots,
-			SetBudget: func(rack int, budgetWatts float64) error {
-				return units[rack].SetBudget(budgetWatts)
-			},
-		}
-	}
-	op, err := operator.New(opCfg)
-	if err != nil {
-		return nil, err
-	}
 	bidInj, err := proto.NewFaultInjector(opts.BidFaults)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	bcastInj, err := proto.NewFaultInjector(opts.BroadcastFaults)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	bidInj.SetMetrics(protoMetrics)
-	bcastInj.SetMetrics(protoMetrics)
-	srv, err := proto.NewServerOpts("127.0.0.1:0", func(id string) (int, bool) {
-		return topo.RackByID(id)
-	}, proto.ServerOptions{
-		SessionTTL: opts.SessionTTL,
-		BidWindow:  opts.BidWindow,
-		// Rack ownership: a tenant may only register (and bid for) its own
-		// racks — without this, any connected tenant could claim another's
-		// headroom.
-		OwnerOf:  func(i int) string { return topo.Racks[i].Tenant },
-		WrapConn: bcastInj.Wrap,
-		Metrics:  protoMetrics,
-		Tracer:   opts.Tracer,
+	cfg := node.Config{
+		Operator: operator.Config{
+			Topology:      topo,
+			MarketOptions: sc.MarketOptions,
+			Pricing:       sc.Pricing,
+			Predict:       sc.Predict,
+		},
+		Listen: "127.0.0.1:0",
 		// Logf stays nil: faults are expected here, the server is quiet by
-		// default, and the metrics above carry the signal.
-	})
-	if err != nil {
-		return nil, err
+		// default, and the metrics carry the signal.
+		Server: proto.ServerOptions{
+			SessionTTL: opts.SessionTTL,
+			BidWindow:  opts.BidWindow,
+			WrapConn:   bcastInj.Wrap,
+		},
+		OtherLoad:              sc.OtherLoad,
+		SlotLen:                opts.SlotLen,
+		MaxConsecutiveFailures: opts.MaxConsecutiveFailures,
+		BreakerCooldownSlots:   opts.BreakerCooldownSlots,
+		Durable:                opts.Durable,
+		Journal:                opts.Journal,
+		Registry:               opts.Registry,
+		Tracer:                 opts.Tracer,
 	}
-	defer srv.Close()
-
-	clock, err := proto.NewSlotClock(time.Now().Add(2*opts.SlotLen), opts.SlotLen)
-	if err != nil {
-		return nil, err
-	}
-
-	// Reference reading: racks at 75% of their guarantee, non-participants
-	// from their traces; ErrorSlots poison the snapshot with NaN so
-	// RunSlot fails and the loop must degrade.
-	errorSlot := make(map[int]bool, len(opts.ErrorSlots))
-	for _, s := range opts.ErrorSlots {
-		errorSlot[s] = true
-	}
-	surgeSlot := make(map[int]bool)
-	if opts.Emergency != nil {
-		for _, s := range opts.Emergency.OverloadSlots {
+	if em := opts.Emergency; em != nil {
+		if em.OverloadPDU < 0 || em.OverloadPDU >= len(topo.PDUs) {
+			return nil, nil, fmt.Errorf("sim: emergency OverloadPDU %d of %d", em.OverloadPDU, len(topo.PDUs))
+		}
+		cfg.Operator.Emergency = &operator.ResponderConfig{
+			EscalationSeverity: em.EscalationSeverity,
+			RecoverySlots:      em.RecoverySlots,
+		}
+		cfg.BreakerTolerance = em.BreakerTolerance
+		if cfg.BreakerTolerance == 0 {
+			cfg.BreakerTolerance = sc.BreakerTolerance
+		}
+		cfg.ResetDelay = em.ResetDelay
+		surgeSlot := make(map[int]bool, len(em.OverloadSlots))
+		for _, s := range em.OverloadSlots {
 			surgeSlot[s] = true
 		}
-	}
-	rackWatts := make([]float64, len(topo.Racks))
-	for i, r := range topo.Racks {
-		rackWatts[i] = 0.75 * r.Guaranteed
-	}
-	otherWatts := make([]float64, len(topo.PDUs))
-	reading := func(slot int) power.Reading {
-		if errorSlot[slot] {
-			return power.Reading{
-				RackWatts:     []float64{math.NaN()},
-				OtherPDUWatts: otherWatts,
+		cfg.Surge = func(slot, rack int) float64 {
+			if surgeSlot[slot] && topo.Racks[rack].PDU == em.OverloadPDU {
+				return em.OverloadRackWatts
 			}
+			return 0
 		}
-		for m := range otherWatts {
-			otherWatts[m] = sc.OtherLoad[m].At(slot)
-		}
-		if em := opts.Emergency; em != nil {
-			// Offered load (reference + surge), capped at the rack PDU's
-			// current budget — the physical enforcement of a reclaim plan.
-			for i, r := range topo.Racks {
-				w := 0.75 * r.Guaranteed
-				if surgeSlot[slot] && r.PDU == em.OverloadPDU {
-					w += em.OverloadRackWatts
-				}
-				if b := units[i].Budget(); w > b {
-					w = b
-				}
-				rackWatts[i] = w
-			}
-		}
-		return power.Reading{RackWatts: rackWatts, OtherPDUWatts: otherWatts}
 	}
+	if c := lt.crash; c != nil {
+		cfg.WAL = wal.Options{Dir: c.StateDir, Policy: c.Policy, SegmentBytes: c.SegmentBytes}
+		cfg.SnapshotEvery = c.SnapshotEvery
+		cfg.OnCommit, cfg.ExtraSlot, cfg.ExtraSnapshot = c.OnCommit, c.ExtraSlot, c.ExtraSnapshot
+		cfg.RestoreSnapshot, cfg.ReplaySlot = c.RestoreSnapshot, c.ReplaySlot
+		cfg.JournalPath, cfg.JournalSyncEvery = c.JournalPath, c.JournalSyncEvery
+	}
+	n, err := node.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if next := n.NextSlot(); next != lt.from {
+		n.Close()
+		return nil, nil, fmt.Errorf("recovered to slot %d, harness expected %d", next, lt.from)
+	}
+	if lt.restart > 0 && lt.crash.OnRestart != nil {
+		lt.crash.OnRestart(lt.restart, n.Recovered)
+	}
+	bidInj.SetMetrics(n.ProtoMetrics)
+	bcastInj.SetMetrics(n.ProtoMetrics)
 
 	res := &NetResult{
 		Slots:   sc.Slots,
 		Tenants: make(map[string]*NetTenantStats, len(sc.Agents)),
 	}
-	loop := proto.MarketLoop{
-		Server:                 srv,
-		Operator:               op,
-		Clock:                  clock,
-		Reading:                reading,
-		RackID:                 func(i int) string { return topo.Racks[i].ID },
-		MaxConsecutiveFailures: opts.MaxConsecutiveFailures,
-		BreakerCooldownSlots:   opts.BreakerCooldownSlots,
-		Journal:                opts.Journal,
-		Durable:                opts.Durable,
-		Tracer:                 opts.Tracer,
-		FaultCounts: func() (drops, delays, severs int64) {
-			b, c := bidInj.Stats(), bcastInj.Stats()
-			return b.Drops + c.Drops, b.Delays + c.Delays, b.Severs + c.Severs
-		},
-		OnSlot: func(slot int, out operator.SlotOutcome, bids int) {
-			if err := op.VerifyFeasible(out.Result.Allocations); err != nil {
-				res.InfeasibleSlots++
-			}
-		},
-		OnSlotError: func(slot int, err error) {},
+	loop := n.Loop
+	loop.FaultCounts = func() (drops, delays, severs int64) {
+		b, c := bidInj.Stats(), bcastInj.Stats()
+		return b.Drops + c.Drops, b.Delays + c.Delays, b.Severs + c.Severs
 	}
-	if em := opts.Emergency; em != nil {
-		tol := em.BreakerTolerance
-		if tol == 0 {
-			tol = sc.BreakerTolerance
+	loop.OnSlot = func(slot int, out operator.SlotOutcome, bids int) {
+		if err := n.Operator.VerifyFeasible(out.Result.Allocations); err != nil {
+			res.InfeasibleSlots++
 		}
-		if tol == 0 {
-			tol = 0.05
+	}
+	if len(opts.ErrorSlots) > 0 {
+		// ErrorSlots poison the reading with NaN so RunSlot fails and the
+		// loop must degrade.
+		errorSlot := make(map[int]bool, len(opts.ErrorSlots))
+		for _, s := range opts.ErrorSlots {
+			errorSlot[s] = true
 		}
-		loop.CheckEmergencies = true
-		loop.BreakerTolerance = tol
+		reference := loop.Reading
+		poisoned := power.Reading{RackWatts: []float64{math.NaN()}, OtherPDUWatts: make([]float64, len(topo.PDUs))}
+		loop.Reading = func(slot int) power.Reading {
+			if errorSlot[slot] {
+				return poisoned
+			}
+			return reference(slot)
+		}
+	}
+	var barrierErr error
+	if faultFree(opts) {
+		// Bid-arrival barrier: every run of the seed, interrupted or not,
+		// drains the same bid set per slot, however slow the host.
+		expect := expectedBids(sc)
+		stop := make(chan struct{})
+		loop.Stop = stop
+		loop.BeforeBids = func(slot int) {
+			deadline := time.Now().Add(bidBarrierTimeout)
+			for n.Server.BufferedBids(slot) < expect[slot] {
+				if time.Now().After(deadline) {
+					barrierErr = fmt.Errorf("slot %d: %d of %d expected bids arrived within %v",
+						slot, n.Server.BufferedBids(slot), expect[slot], bidBarrierTimeout)
+					close(stop)
+					return
+				}
+				time.Sleep(200 * time.Microsecond)
+			}
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -405,24 +395,33 @@ func NetRun(sc Scenario, opts NetRunOptions) (*NetResult, error) {
 		wg.Add(1)
 		go func(idx int, a tenant.Agent) {
 			defer wg.Done()
-			st := runNetTenant(a, topo, srv.Addr(), clock, 0, sc.Slots, bidInj, protoMetrics, opts, int64(idx))
+			st := runNetTenant(a, topo, n.Server.Addr(), loop.Clock, lt.from, lt.to, bidInj, n.ProtoMetrics, opts, int64(idx))
 			mu.Lock()
 			res.Tenants[st.Name] = st
 			mu.Unlock()
 		}(idx, a)
 	}
-
-	cleared, runErr := loop.RunSlots(0, sc.Slots)
+	cleared, runErr := n.Run(lt.to - lt.from)
 	wg.Wait()
+	if runErr == nil {
+		runErr = barrierErr
+	}
 	if runErr != nil {
-		return nil, runErr
+		n.Close()
+		return nil, nil, runErr
+	}
+	if lt.kill != nil {
+		n.Kill()
+	} else if err := n.Close(); err != nil {
+		return nil, nil, err
 	}
 	res.Cleared = cleared
 	res.SlotErrors = loop.SlotErrors()
 	res.BreakerTripped = loop.BreakerTripped()
 	res.BidFaults = bidInj.Stats()
 	res.BroadcastFaults = bcastInj.Stats()
-	res.ReapedSessions = srv.ReapedSessions()
+	res.ReapedSessions = n.Server.ReapedSessions()
+	op := n.Operator
 	res.SpotRevenue = op.SpotRevenue()
 	if opts.Emergency != nil {
 		res.EmergencySlots = op.EmergencySlots()
@@ -430,19 +429,19 @@ func NetRun(sc Scenario, opts NetRunOptions) (*NetResult, error) {
 		res.ReclaimedWatts = op.ReclaimedWatts()
 		res.GuaranteedCutWatts = op.GuaranteedCutWatts()
 		res.InvoluntaryCuts = op.InvoluntaryCuts()
-		for _, u := range units {
+		for _, u := range n.Units {
 			res.BudgetResets += u.Resets()
 		}
 	}
 	if opts.Audit {
-		if n := aud.Violations(); n > 0 {
-			return nil, fmt.Errorf("sim: audit found %d clearing violation(s): %w", n, aud.Err())
+		if k := aud.Violations(); k > 0 {
+			return nil, nil, fmt.Errorf("sim: audit found %d clearing violation(s): %w", k, aud.Err())
 		}
 		if err := op.ReconcileAccounts(); err != nil {
-			return nil, fmt.Errorf("sim: audit: %w", err)
+			return nil, nil, fmt.Errorf("sim: audit: %w", err)
 		}
 	}
-	return res, nil
+	return res, n, nil
 }
 
 // runNetTenant is one tenant's bidding loop over the wire for slots

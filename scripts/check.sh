@@ -3,19 +3,19 @@
 #
 #   1. go build ./...        everything compiles
 #   2. go vet ./...          static checks
-#   3. go test -race on the concurrency-heavy packages — the protocol
-#      layer (sessions, reconnect, fault injection) and the networked
-#      simulator harness — so the Section III-C robustness machinery is
-#      exercised under race checking explicitly on every run
-#   4. targeted -race on the parallel-engine determinism tests — the
-#      serial-vs-parallel bit-reproducibility contracts of the simulator
-#      (Scenario.Parallel) and the experiment fan-out (Options.Workers);
-#      the tests force GOMAXPROCS=4 internally so the parallel phases
-#      really interleave even on a single-core runner
-#   5. go test -race ./...   everything else under the race detector, so
-#                            the parallel candidate evaluation inside the
-#                            exact clearing engine
-#                            (internal/core/clear_exact.go) is covered too
+#   3. the benchmark module (slotbench/, its own Go module that the root
+#      `go test ./...` skips) vets and passes its tests, so an internal
+#      API change cannot break the benchmark build unnoticed
+#   4. go test -race ./... once over every test EXCEPT the named gates
+#      below (-skip), so the protocol layer, the networked harnesses and
+#      the parallel candidate evaluation inside the exact clearing engine
+#      (internal/core/clear_exact.go) all run under the race detector —
+#      and each networked test runs exactly once per check
+#   5. the parallel-engine determinism gates — the serial-vs-parallel
+#      bit-reproducibility contracts of the simulator (Scenario.Parallel)
+#      and the experiment fan-out (Options.Workers); the tests force
+#      GOMAXPROCS=4 internally so the parallel phases really interleave
+#      even on a single-core runner
 #   6. the observability smoke: a short networked market scraped over
 #      live HTTP /metrics mid-run (make smoke-metrics), proving the
 #      scrape surface end to end on every check
@@ -61,13 +61,17 @@ echo '== go build ./...'
 go build ./...
 echo '== go vet ./...'
 go vet ./...
-echo '== go test -race ./internal/proto/... ./internal/sim/...'
-go test -race -count=1 ./internal/proto/... ./internal/sim/...
+echo '== slotbench: vet + tests (nested module)'
+go -C slotbench vet ./...
+go -C slotbench test -count=1 .
+# Every named gate below runs under -race exactly once; the catch-all run
+# skips them so no test runs twice.
+GATES='TestParallelMatchesSerial|TestFanOutDeterminism|TestSmokeMetricsScrape|TestNetRunEmergency|TestGoldenNetRunJournalReplay|TestSmokeWire|TestMixedFleetInteropMatchesAllJSON|TestNetRunSpansMatchFaultSchedule|TestSmokeSpans|TestCrash'
+echo '== go test -race ./... (all but the named gates)'
+go test -race -count=1 -skip "$GATES" ./...
 echo '== go test -race (parallel determinism contracts)'
 go test -race -count=1 -run 'TestParallelMatchesSerial' ./internal/sim/
 go test -race -count=1 -run 'TestFanOutDeterminism' ./internal/experiments/
-echo '== go test -race ./...'
-go test -race ./...
 echo '== smoke: /metrics scrape of a live networked market'
 go test -race -count=1 -run 'TestSmokeMetricsScrape' .
 echo '== smoke: emergency loop on a networked market'

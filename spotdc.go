@@ -43,7 +43,6 @@ package spotdc
 import (
 	"io"
 	"net/http"
-	"time"
 
 	"spotdc/internal/audit"
 	"spotdc/internal/billing"
@@ -52,6 +51,7 @@ import (
 	"spotdc/internal/core"
 	"spotdc/internal/experiments"
 	"spotdc/internal/metrics"
+	"spotdc/internal/node"
 	"spotdc/internal/operator"
 	"spotdc/internal/otrace"
 	"spotdc/internal/par"
@@ -209,10 +209,6 @@ type (
 	// RackPDU is a metered rack PDU with a settable power budget — the
 	// physical enforcement point for emergency budget resets.
 	RackPDU = rackpdu.PDU
-	// RackPDUConfig parameterizes a RackPDU.
-	RackPDUConfig = rackpdu.Config
-	// RackPDUMetrics instruments a fleet of RackPDUs.
-	RackPDUMetrics = rackpdu.Metrics
 )
 
 // PlanReclaim computes the spot-first proportional reclamation plan for one
@@ -220,12 +216,6 @@ type (
 func PlanReclaim(topo *Topology, em Emergency, rackWatts, spotGrants []float64, escalationSeverity float64) ReclaimPlan {
 	return operator.PlanReclaim(topo, em, rackWatts, spotGrants, escalationSeverity)
 }
-
-// NewRackPDU builds a rack PDU.
-func NewRackPDU(cfg RackPDUConfig) (*RackPDU, error) { return rackpdu.New(cfg) }
-
-// NewRackPDUMetrics registers the shared rack-PDU metric families.
-func NewRackPDUMetrics(r *MetricsRegistry) *RackPDUMetrics { return rackpdu.NewMetrics(r) }
 
 // Tenant agents (internal/tenant) and workload models (internal/workload).
 type (
@@ -389,28 +379,27 @@ func NewFaultInjector(plan FaultPlan) (*FaultInjector, error) {
 	return proto.NewFaultInjector(plan)
 }
 
-// Networked market loop (Fig. 5/6).
+// Market node: the operator side of a networked deployment (Fig. 5/6),
+// assembled in one place.
 type (
+	// MarketNode is an assembled operator node: operator, protocol server,
+	// optional WAL recovery and slot journal, slot clock and market loop.
+	MarketNode = node.Node
+	// MarketNodeConfig describes one market node.
+	MarketNodeConfig = node.Config
 	// MarketLoop drives Algorithm 1 over the network per slot boundary.
 	MarketLoop = proto.MarketLoop
-	// SlotClock implements the Fig. 6 slot timing discipline.
-	SlotClock = proto.SlotClock
 )
 
-// NewSlotClock builds a slot clock anchored at epoch.
-func NewSlotClock(epoch time.Time, slotLen time.Duration) (*SlotClock, error) {
-	return proto.NewSlotClock(epoch, slotLen)
-}
+// NewMarketNode builds a market node from its config: operator (and rack
+// PDU emulators when the emergency loop is armed), server, WAL recovery
+// when a state dir is given, journal, clock and loop. cmd/spotdc-operator
+// is a thin wrapper around it.
+func NewMarketNode(cfg MarketNodeConfig) (*MarketNode, error) { return node.New(cfg) }
 
 // NewMarketServer starts the operator-side protocol endpoint.
 func NewMarketServer(addr string, resolve RackResolver) (*MarketServer, error) {
 	return proto.NewServer(addr, resolve)
-}
-
-// NewMarketServerOpts starts the operator-side endpoint with explicit
-// robustness options (session TTL reaping, bid window, fault wrapping).
-func NewMarketServerOpts(addr string, resolve RackResolver, opts MarketServerOptions) (*MarketServer, error) {
-	return proto.NewServerOpts(addr, resolve, opts)
 }
 
 // DialMarket connects a tenant to the operator and registers its racks.
@@ -500,9 +489,6 @@ type (
 	// MarketMetrics instruments market clearings (handles for
 	// MarketOptions.Metrics).
 	MarketMetrics = core.MarketMetrics
-	// OperatorMetrics instruments the per-slot operator loop (handles for
-	// OperatorConfig.Metrics).
-	OperatorMetrics = operator.Metrics
 	// MarketProtoMetrics instruments the wire protocol: sessions,
 	// reconnects, bid rejections and injected faults (handles for
 	// MarketServerOptions.Metrics / MarketClientOptions.Metrics /
@@ -537,12 +523,6 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
 // NewMarketMetrics registers the market-clearing families on r.
 func NewMarketMetrics(r *MetricsRegistry) *MarketMetrics { return core.NewMarketMetrics(r) }
-
-// NewOperatorMetrics registers the operator slot-loop families on r.
-func NewOperatorMetrics(r *MetricsRegistry) *OperatorMetrics { return operator.NewMetrics(r) }
-
-// NewMarketProtoMetrics registers the protocol families on r.
-func NewMarketProtoMetrics(r *MetricsRegistry) *MarketProtoMetrics { return proto.NewMetrics(r) }
 
 // NewSlotJournal builds a journal writing JSON lines to w.
 func NewSlotJournal(w io.Writer) *SlotJournal { return metrics.NewJournal(w) }
@@ -644,43 +624,26 @@ func TraceHandler(t *Tracer) http.Handler { return otrace.TraceHandler(t) }
 // Durable operator state (internal/wal + internal/proto): an append-only
 // segmented write-ahead log with periodic snapshots, and crash recovery
 // that resumes the market at the slot after the last committed record.
-// Durability is strictly opt-in — a MarketLoop without Durability runs
-// exactly as before. See DESIGN §4h.
+// Durability is strictly opt-in: set MarketNodeConfig.WAL.Dir and
+// NewMarketNode opens, recovers and commits to the log. See DESIGN §4h.
 type (
 	// WriteAheadLog is the append-only segmented log (CRC32C-framed
 	// records, configurable fsync policy, snapshot-driven compaction).
 	WriteAheadLog = wal.Log
-	// WALOptions configures OpenWAL (directory, fsync policy, segment
-	// size, metrics).
+	// WALOptions configures a node's log (MarketNodeConfig.WAL: state
+	// directory, fsync policy, segment size).
 	WALOptions = wal.Options
-	// WALRecovery is what OpenWAL found on disk: the newest snapshot, every
-	// committed record after it, and any torn-tail truncations repaired.
-	WALRecovery = wal.Recovery
-	// WALRecord is one recovered log entry.
-	WALRecord = wal.Record
 	// WALSyncPolicy selects the fsync discipline (record / slot / timer).
 	WALSyncPolicy = wal.SyncPolicy
-	// WALMetrics instruments the log (handles for WALOptions.Metrics).
-	WALMetrics = wal.Metrics
 
-	// MarketDurability threads a WriteAheadLog through the market loop:
-	// one record per slot boundary, periodic snapshots, opaque extra-state
-	// hooks for higher layers (MarketLoop.Durable).
-	MarketDurability = proto.Durable
-	// MarketRecovered reports what RecoverMarketState rebuilt.
+	// MarketRecovered reports what a node's recovery rebuilt
+	// (MarketNode.Recovered).
 	MarketRecovered = proto.Recovered
-
-	// SlotJournalOptions tunes a journal's sync cadence and append-mode
-	// resumption (see NewSlotJournalOpts).
-	SlotJournalOptions = metrics.JournalOptions
 
 	// OperatorCheckpoint is the operator's complete serializable state:
 	// accumulated revenue and per-tenant payments as exact compensated-sum
 	// terms, plus emergency-responder suspension state.
 	OperatorCheckpoint = operator.Checkpoint
-	// OperatorSlotCommit is one slot's delta against a checkpoint — what a
-	// WAL slot record carries.
-	OperatorSlotCommit = operator.SlotCommit
 	// LedgerState is a billing ledger's serializable state (exact
 	// compensated sums included).
 	LedgerState = billing.LedgerState
@@ -693,33 +656,8 @@ const (
 	WALSyncTimer       = wal.SyncTimer
 )
 
-// OpenWAL opens (or creates) the log in opts.Dir and recovers whatever a
-// previous process left behind, truncating at the first torn or corrupt
-// record. Hand the WALRecovery to RecoverMarketState before starting the
-// loop.
-func OpenWAL(opts WALOptions) (*WriteAheadLog, *WALRecovery, error) { return wal.Open(opts) }
-
-// NewWALMetrics registers the wal_* families on r.
-func NewWALMetrics(r *MetricsRegistry) *WALMetrics { return wal.NewMetrics(r) }
-
 // ParseWALSyncPolicy parses a -fsync flag value ("record", "slot", "timer").
 func ParseWALSyncPolicy(s string) (WALSyncPolicy, error) { return wal.ParseSyncPolicy(s) }
-
-// RecoverMarketState rebuilds operator and server state from a WAL
-// recovery: the snapshot restores the checkpoint, committed slot records
-// replay into the books, and the server's bid window advances so stale
-// bids from reconnecting tenants are rejected. Resume the loop at
-// MarketRecovered.NextSlot.
-func RecoverMarketState(rec *WALRecovery, op *Operator, srv *MarketServer) (*MarketRecovered, error) {
-	return proto.RecoverDurable(rec, op, srv)
-}
-
-// NewSlotJournalOpts builds a journal with explicit sync cadence and
-// append-mode resumption (a resumed journal skips the header its first
-// lifetime already wrote).
-func NewSlotJournalOpts(w io.Writer, opts SlotJournalOptions) *SlotJournal {
-	return metrics.NewJournalOpts(w, opts)
-}
 
 // ReadSlotJournalInfo parses a slot journal like ReadSlotJournal and
 // additionally reports whether the final line was torn mid-append (the
