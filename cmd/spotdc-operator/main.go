@@ -49,18 +49,20 @@
 // arms the loop and exercises the budget plumbing end to end.
 //
 // Durability: -state-dir DIR keeps the operator's books in a write-ahead
-// log under DIR — one record per slot boundary, periodic snapshots
-// (-snapshot-every), fsync policy -fsync (record, slot or timer; see
-// -fsync-interval). On startup the operator recovers whatever a previous
-// process committed and resumes the market at the next slot; torn final
-// records from a crash are truncated and the slot re-runs. A restart that
+// log under DIR — one full-state record per slot boundary, at most two
+// segment files on disk, fsync policy -fsync (record, slot or timer; see
+// -fsync-interval). On startup the operator restores the newest record a
+// previous process committed and resumes the market at the next slot;
+// torn final records from a crash are truncated and the slot re-runs. A
+// state directory in the older delta-and-snapshot format is refused. A restart that
 // recovers a market position appends to the -events journal (its header is
 // already on disk), so one journal file spans restarts; a fresh state
 // directory starts a fresh journal (-events-sync forces it to disk every N
 // slots). With -emergency the rack PDU budgets are logged with every slot
 // and restored on restart. SIGINT/SIGTERM
 // stop the loop gracefully at the next slot boundary, then drain in order:
-// WAL close (final fsync), journal sync, summaries. A second signal exits
+// WAL close (final fsync), journal sync, summaries — with -emergency the
+// summary names any failed rack PDU budget resets. A second signal exits
 // immediately.
 package main
 
@@ -75,7 +77,7 @@ import (
 	"time"
 
 	"spotdc"
-	"spotdc/internal/trace"
+	"spotdc/internal/powertrace"
 )
 
 func main() {
@@ -95,10 +97,9 @@ func main() {
 	traceSample := flag.Int("trace-sample", 1, "head-sample every Nth slot's trace (1 = all; degraded/emergency/slow slots are always kept)")
 	eventsFile := flag.String("events", "", "append one JSON slot event per market slot to this file")
 	eventsSync := flag.Int("events-sync", 0, "fsync the -events journal every N slots (0 = only at shutdown)")
-	stateDir := flag.String("state-dir", "", "persist operator state (WAL + snapshots) under this directory and recover from it on startup")
+	stateDir := flag.String("state-dir", "", "persist operator state (WAL) under this directory and recover from it on startup")
 	fsync := flag.String("fsync", "slot", "WAL fsync policy: record, slot or timer (with -state-dir)")
 	fsyncInterval := flag.Duration("fsync-interval", 0, "background fsync tick for -fsync timer (0 = library default)")
-	snapshotEvery := flag.Int("snapshot-every", 0, "WAL snapshot cadence in committed slots (0 = library default)")
 	auditRun := flag.Bool("audit", false, "re-verify clearing invariants inline on every slot and log violations")
 	emergency := flag.Bool("emergency", false, "arm the emergency responder: reclaim spot capacity and reset rack PDU budgets on capacity excursions")
 	breakerTol := flag.Float64("breaker-tolerance", 0.05, "breaker ride-through tolerance fraction before an excursion is an emergency (with -emergency)")
@@ -184,9 +185,9 @@ func main() {
 		log.Fatal(err)
 	}
 	// Background (non-participating) power per PDU.
-	others := make([]*trace.Power, len(topo.PDUs))
+	others := make([]*powertrace.Power, len(topo.PDUs))
 	for m := range others {
-		tr, err := trace.GeneratePower(trace.PowerConfig{
+		tr, err := powertrace.GeneratePower(powertrace.PowerConfig{
 			Name: fmt.Sprintf("other-%d", m), Seed: *seed + int64(m),
 			Slots: 100000, SlotSeconds: *slotSeconds,
 			MeanWatts: 180, MinWatts: 90, MaxWatts: 250, Volatility: 0.03,
@@ -219,7 +220,6 @@ func main() {
 		Lead:                   slotLen,
 		MaxConsecutiveFailures: *maxFailures,
 		BreakerCooldownSlots:   *breakerCooldown,
-		SnapshotEvery:          *snapshotEvery,
 		JournalPath:            *eventsFile,
 		JournalSyncEvery:       *eventsSync,
 		Registry:               reg,
@@ -259,9 +259,8 @@ func main() {
 	firstSlot := n.NextSlot()
 	if rec := n.Recovered; rec != nil {
 		if firstSlot > 0 {
-			log.Printf("spotdc-operator: recovered %s: resuming at slot %d (snapshot %v, %d slot records replayed, %d degraded, %d torn tail(s) repaired), spot revenue so far $%.6f",
-				*stateDir, firstSlot, rec.HadSnapshot, rec.SlotsReplayed,
-				rec.DegradedReplayed, rec.Truncations, n.Operator.SpotRevenue())
+			log.Printf("spotdc-operator: recovered %s: resuming at slot %d (restored the newest of %d slot records read, %d torn tail(s) repaired), spot revenue so far $%.6f",
+				*stateDir, firstSlot, rec.SlotsReplayed, rec.Truncations, n.Operator.SpotRevenue())
 		} else {
 			log.Printf("spotdc-operator: fresh state directory %s (fsync policy %s)", *stateDir, cfg.WAL.Policy)
 		}
@@ -329,6 +328,10 @@ func main() {
 	if *emergency {
 		log.Printf("spotdc-operator: emergency responder: %d emergencies acted on, %.1f W spot reclaimed, %.1f W guaranteed curtailed (%d involuntary cuts)",
 			op.EmergenciesActed(), op.ReclaimedWatts(), op.GuaranteedCutWatts(), op.InvoluntaryCuts())
+		// A failed reset leaves a rack uncapped through the excursion.
+		if failed, last := op.HookFailures(); failed > 0 {
+			log.Printf("spotdc-operator: %d rack PDU budget reset(s) failed, last: %v", failed, last)
+		}
 	}
 	if err := n.Journal.Err(); err != nil {
 		log.Printf("spotdc-operator: slot journal degraded: %v", err)

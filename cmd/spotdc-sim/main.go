@@ -19,7 +19,7 @@ import (
 
 	"spotdc"
 	"spotdc/internal/config"
-	"spotdc/internal/trace"
+	"spotdc/internal/powertrace"
 )
 
 func main() {
@@ -145,7 +145,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tr := &trace.Power{Name: "ups-power", SlotSeconds: sc.SlotSeconds, Watts: res.UPSPower}
+		tr := &powertrace.Power{Name: "ups-power", SlotSeconds: sc.SlotSeconds, Watts: res.UPSPower}
 		if err := tr.WriteCSV(f); err != nil {
 			log.Fatal(err)
 		}

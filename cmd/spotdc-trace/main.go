@@ -17,8 +17,8 @@ import (
 	"log"
 	"os"
 
+	"spotdc/internal/powertrace"
 	"spotdc/internal/stats"
-	"spotdc/internal/trace"
 )
 
 func main() {
@@ -45,7 +45,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		tr, err := trace.ReadCSV(f)
+		tr, err := powertrace.ReadCSV(f)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -53,22 +53,22 @@ func main() {
 		return
 	}
 
-	var tr *trace.Power
+	var tr *powertrace.Power
 	var err error
 	switch *kind {
 	case "power":
-		tr, err = trace.GeneratePower(trace.PowerConfig{
+		tr, err = powertrace.GeneratePower(powertrace.PowerConfig{
 			Name: "power", Seed: *seed, Slots: *slots, SlotSeconds: *slotSeconds,
 			MeanWatts: *mean, MinWatts: *minW, MaxWatts: *maxW,
 			Volatility: *volatility, Diurnal: *diurnal,
 		})
 	case "arrivals":
-		tr, err = trace.GenerateArrivals(trace.ArrivalConfig{
+		tr, err = powertrace.GenerateArrivals(powertrace.ArrivalConfig{
 			Name: "arrivals", Seed: *seed, Slots: *slots, SlotSeconds: *slotSeconds,
 			BaseRate: *base, PeakRate: *peak, BurstFraction: *burst,
 		})
 	case "backlog":
-		tr, err = trace.GenerateBacklog(trace.BacklogConfig{
+		tr, err = powertrace.GenerateBacklog(powertrace.BacklogConfig{
 			Name: "backlog", Seed: *seed, Slots: *slots, SlotSeconds: *slotSeconds,
 			ActiveFraction: *active, MeanUnits: 10,
 		})
@@ -101,7 +101,7 @@ func main() {
 	}
 }
 
-func describe(tr *trace.Power) {
+func describe(tr *powertrace.Power) {
 	sum, err := stats.Summarize(tr.Watts)
 	if err != nil {
 		log.Fatal(err)

@@ -54,11 +54,10 @@ func crashLedgerRun(t *testing.T, kills []sim.CrashKill) *Ledger {
 		return nil
 	}
 	_, err = sim.CrashNetRun(sc, opts, sim.CrashRunOptions{
-		StateDir:      filepath.Join(t.TempDir(), "state"),
-		Policy:        wal.SyncEverySlot,
-		SegmentBytes:  1 << 14,
-		SnapshotEvery: 16,
-		Kills:         kills,
+		StateDir:     filepath.Join(t.TempDir(), "state"),
+		Policy:       wal.SyncEverySlot,
+		SegmentBytes: 1 << 14,
+		Kills:        kills,
 		OnCommit: func(slot int, out operator.SlotOutcome) {
 			// Rack draws are the harness's deterministic 75%-of-guarantee
 			// reference; grants come from the slot's allocations. Racks fold
@@ -76,12 +75,10 @@ func crashLedgerRun(t *testing.T, kills []sim.CrashKill) *Ledger {
 				}
 			}
 		},
-		ExtraSlot:     func(int) ([]byte, error) { return json.Marshal(led.State()) },
-		ExtraSnapshot: func() ([]byte, error) { return json.Marshal(led.State()) },
+		SaveState: func() ([]byte, error) { return json.Marshal(led.State()) },
 		// A recovered lifetime starts from a ledger that never saw the
 		// earlier slots: registrations only, then WAL state on top.
-		RestoreSnapshot: func(data []byte) error { led = newLedger(); return restore(data) },
-		ReplaySlot:      restore,
+		RestoreState: func(data []byte) error { led = newLedger(); return restore(data) },
 	})
 	if err != nil {
 		t.Fatal(err)

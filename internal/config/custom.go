@@ -6,9 +6,9 @@ import (
 	"spotdc/internal/core"
 	"spotdc/internal/operator"
 	"spotdc/internal/power"
+	"spotdc/internal/powertrace"
 	"spotdc/internal/sim"
 	"spotdc/internal/tenant"
-	"spotdc/internal/trace"
 	"spotdc/internal/workload"
 )
 
@@ -280,7 +280,7 @@ func (c *Custom) Build() (sim.Scenario, error) {
 			if t.Workload == "web" {
 				cost = workload.WebSprintCost()
 			}
-			load, err := trace.GenerateArrivals(trace.ArrivalConfig{
+			load, err := powertrace.GenerateArrivals(powertrace.ArrivalConfig{
 				Name: t.Name + "-load", Seed: seedOf(t.Load.Seed, i),
 				Slots: c.Slots, SlotSeconds: slotSec,
 				BaseRate: t.Load.BaseRate, PeakRate: t.Load.PeakRate,
@@ -303,7 +303,7 @@ func (c *Custom) Build() (sim.Scenario, error) {
 			if mean == 0 {
 				mean = 10
 			}
-			backlog, err := trace.GenerateBacklog(trace.BacklogConfig{
+			backlog, err := powertrace.GenerateBacklog(powertrace.BacklogConfig{
 				Name: t.Name + "-backlog", Seed: seedOf(t.Backlog.Seed, i),
 				Slots: c.Slots, SlotSeconds: slotSec,
 				ActiveFraction: t.Backlog.ActiveFraction, MeanUnits: mean,
@@ -319,10 +319,10 @@ func (c *Custom) Build() (sim.Scenario, error) {
 		}
 	}
 
-	others := make([]*trace.Power, len(c.PDUs))
+	others := make([]*powertrace.Power, len(c.PDUs))
 	otherLeased := 0.0
 	for i := range others {
-		others[i] = &trace.Power{Name: fmt.Sprintf("other-%d", i), SlotSeconds: slotSec}
+		others[i] = &powertrace.Power{Name: fmt.Sprintf("other-%d", i), SlotSeconds: slotSec}
 	}
 	for i, o := range c.Others {
 		meanFrac := o.MeanFrac
@@ -333,7 +333,7 @@ func (c *Custom) Build() (sim.Scenario, error) {
 		if vol == 0 {
 			vol = 0.008
 		}
-		tr, err := trace.GeneratePower(trace.PowerConfig{
+		tr, err := powertrace.GeneratePower(powertrace.PowerConfig{
 			Name: fmt.Sprintf("other-pdu%d", o.PDU), Seed: seedOf(o.Seed, 1000+i),
 			Slots: c.Slots, SlotSeconds: slotSec,
 			MeanWatts: o.Leased * meanFrac, MinWatts: o.Leased * 0.3, MaxWatts: o.Leased,
@@ -397,7 +397,7 @@ func (c *Custom) buildBundled(topo *power.Topology, t CustomTenant, seed int64, 
 			Headroom: topo.Racks[idx].SpotHeadroom,
 		})
 	}
-	load, err := trace.GenerateArrivals(trace.ArrivalConfig{
+	load, err := powertrace.GenerateArrivals(powertrace.ArrivalConfig{
 		Name: t.Name + "-load", Seed: seed,
 		Slots: c.Slots, SlotSeconds: slotSec,
 		BaseRate: t.Load.BaseRate, PeakRate: t.Load.PeakRate,

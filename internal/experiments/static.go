@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"spotdc/internal/core"
+	"spotdc/internal/powertrace"
 	"spotdc/internal/stats"
 	"spotdc/internal/tenant"
-	"spotdc/internal/trace"
 	"spotdc/internal/workload"
 )
 
@@ -48,10 +48,10 @@ func table1(opt Options) (*Report, error) {
 func fig2b(opt Options) (*Report, error) {
 	// Five tenants sized so their sum rarely reaches the PDU capacity; then
 	// two more are added (oversubscription) on the same capacity.
-	mk := func(n int, seedOff int64) (*trace.Power, error) {
-		agg := &trace.Power{Name: "agg", SlotSeconds: 60}
+	mk := func(n int, seedOff int64) (*powertrace.Power, error) {
+		agg := &powertrace.Power{Name: "agg", SlotSeconds: 60}
 		for i := 0; i < n; i++ {
-			cfg := trace.PowerConfig{
+			cfg := powertrace.PowerConfig{
 				Seed: opt.Seed + seedOff + int64(i), Slots: 3 * 30 * 24 * 60,
 				MeanWatts: 140, MinWatts: 60, MaxWatts: 250,
 				Volatility: 0.01, Diurnal: 0.25,
@@ -63,7 +63,7 @@ func fig2b(opt Options) (*Report, error) {
 				cfg.MeanWatts, cfg.MinWatts, cfg.MaxWatts = 50, 20, 100
 				cfg.Diurnal = -0.25
 			}
-			tr, err := trace.GeneratePower(cfg)
+			tr, err := powertrace.GeneratePower(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -155,16 +155,16 @@ func fig3(opt Options) (*Report, error) {
 }
 
 // constTrace builds a flat trace for model-probing experiments.
-func constTrace(v float64, n int) *trace.Power {
+func constTrace(v float64, n int) *powertrace.Power {
 	w := make([]float64, n)
 	for i := range w {
 		w[i] = v
 	}
-	return &trace.Power{Name: "const", SlotSeconds: 120, Watts: w}
+	return &powertrace.Power{Name: "const", SlotSeconds: 120, Watts: w}
 }
 
 func fig7a(opt Options) (*Report, error) {
-	tr, err := trace.GeneratePower(trace.PowerConfig{
+	tr, err := powertrace.GeneratePower(powertrace.PowerConfig{
 		Seed: opt.Seed, Slots: 30 * 24 * 60, SlotSeconds: 60,
 		MeanWatts: 250e3, MinWatts: 120e3, MaxWatts: 300e3,
 		Volatility: 0.008, Diurnal: 0.15,

@@ -20,9 +20,9 @@ import (
 	"spotdc/internal/operator"
 	"spotdc/internal/otrace"
 	"spotdc/internal/power"
+	"spotdc/internal/powertrace"
 	"spotdc/internal/proto"
 	"spotdc/internal/rackpdu"
-	"spotdc/internal/trace"
 	"spotdc/internal/wal"
 )
 
@@ -58,7 +58,7 @@ type Config struct {
 	ResetDelay       time.Duration
 	// OtherLoad is one background (non-participating) power trace per PDU;
 	// nil reads zero background load.
-	OtherLoad []*trace.Power
+	OtherLoad []*powertrace.Power
 	// Surge, if non-nil, adds watts to a rack's offered load in a slot, on
 	// top of the reference draw and before the rack PDU's cap.
 	Surge func(slot, rack int) float64
@@ -77,22 +77,17 @@ type Config struct {
 	// WAL, when WAL.Dir is set, makes the node durable: New opens the log,
 	// recovers the operator's books and the server's market position from
 	// it, restores the rack PDUs' budgets, and the loop commits every slot
-	// before its broadcast. SnapshotEvery sets the snapshot cadence (see
-	// proto.Durable).
-	WAL           wal.Options
-	SnapshotEvery int
-	// The five state hooks thread caller-owned durable state (e.g. a
+	// before its broadcast (see proto.Durable).
+	WAL wal.Options
+	// The three state hooks thread caller-owned durable state (e.g. a
 	// billing ledger) through the WAL, next to the node's own rack PDU
 	// budgets. OnCommit folds a cleared slot into the caller's state right
-	// before the commit; ExtraSlot/ExtraSnapshot serialize that state into
-	// slot records and snapshots; RestoreSnapshot/ReplaySlot rebuild it
-	// during recovery (snapshot first, then each replayed slot in order).
-	// All optional; used only with WAL.Dir.
-	OnCommit        func(slot int, out operator.SlotOutcome)
-	ExtraSlot       func(slot int) ([]byte, error)
-	ExtraSnapshot   func() ([]byte, error)
-	RestoreSnapshot func(data []byte) error
-	ReplaySlot      func(data []byte) error
+	// before the commit; SaveState serializes that state into every slot
+	// record; RestoreState rebuilds it from the recovered record. All
+	// optional; used only with WAL.Dir.
+	OnCommit     func(slot int, out operator.SlotOutcome)
+	SaveState    func() ([]byte, error)
+	RestoreState func(data []byte) error
 	// Durable, instead of WAL.Dir, threads a caller-opened log into the
 	// loop as is: no recovery, and the caller closes the log.
 	Durable *proto.Durable
@@ -150,6 +145,7 @@ type Node struct {
 	// caller's clients and fault injectors to share (nil without one).
 	ProtoMetrics *proto.Metrics
 
+	durable     *proto.Durable
 	journalFile *os.File
 }
 
@@ -216,7 +212,7 @@ func New(cfg Config) (_ *Node, err error) {
 		return nil, err
 	}
 
-	durable := cfg.Durable
+	n.durable = cfg.Durable
 	if cfg.WAL.Dir != "" {
 		var rec *wal.Recovery
 		if n.Log, rec, err = wal.Open(cfg.WAL); err != nil {
@@ -228,17 +224,10 @@ func New(cfg Config) (_ *Node, err error) {
 		if err := n.restore(&cfg); err != nil {
 			return nil, err
 		}
-		durable = &proto.Durable{
-			Log:           n.Log,
-			SnapshotEvery: cfg.SnapshotEvery,
-			OnCommit:      cfg.OnCommit,
-			ExtraSlot: func(slot int) ([]byte, error) {
-				if cfg.ExtraSlot == nil {
-					return n.extra(nil)
-				}
-				return n.extra(func() ([]byte, error) { return cfg.ExtraSlot(slot) })
-			},
-			ExtraSnapshot: func() ([]byte, error) { return n.extra(cfg.ExtraSnapshot) },
+		n.durable = &proto.Durable{
+			Log:       n.Log,
+			OnCommit:  cfg.OnCommit,
+			SaveState: func() ([]byte, error) { return n.extra(cfg.SaveState) },
 		}
 	}
 
@@ -267,7 +256,7 @@ func New(cfg Config) (_ *Node, err error) {
 		MaxConsecutiveFailures: cfg.MaxConsecutiveFailures,
 		BreakerCooldownSlots:   cfg.BreakerCooldownSlots,
 		Journal:                n.Journal,
-		Durable:                durable,
+		Durable:                n.durable,
 		Tracer:                 cfg.Tracer,
 	}
 	if armed {
@@ -296,10 +285,15 @@ func (n *Node) Run(slots int) (int, error) {
 }
 
 // Close shuts the node down in order: the WAL closes (its final fsync,
-// surfacing any sticky append error), the node's journal file syncs and
-// closes, and the server stops.
+// surfacing any sticky append error or skipped slot commit), the node's
+// journal file syncs and closes, and the server stops.
 func (n *Node) Close() error {
 	var errs []error
+	if n.durable != nil {
+		if err := n.durable.Err(); err != nil {
+			errs = append(errs, fmt.Errorf("WAL degraded: %w", err))
+		}
+	}
 	if n.Log != nil {
 		if err := n.Log.Close(); err != nil {
 			errs = append(errs, fmt.Errorf("WAL degraded: %w", err))
@@ -390,17 +384,16 @@ func (n *Node) referenceReading(cfg *Config) func(slot int) power.Reading {
 	}
 }
 
-// durableExtra is the node's payload on every slot record and snapshot:
-// the emulated rack PDUs' budgets (physical state the next lifetime's
-// readings depend on) plus the caller's opaque state.
+// durableExtra is the node's payload on every slot record: the emulated
+// rack PDUs' budgets (physical state the next lifetime's readings depend
+// on) plus the caller's opaque state.
 type durableExtra struct {
 	Budgets []float64       `json:"budgets,omitempty"`
 	Caller  json.RawMessage `json:"caller,omitempty"`
 }
 
-// extra builds one slot or snapshot payload from the current rack PDU
-// budgets and the caller's state (nil hook: none); nil when there is
-// neither.
+// extra builds one slot record's payload from the current rack PDU budgets
+// and the caller's state (nil hook: none); nil when there is neither.
 func (n *Node) extra(caller func() ([]byte, error)) ([]byte, error) {
 	var e durableExtra
 	if caller != nil {
@@ -422,42 +415,30 @@ func (n *Node) extra(caller func() ([]byte, error)) ([]byte, error) {
 	return json.Marshal(e)
 }
 
-// restore rebuilds the caller's state from the recovered extras (snapshot,
-// then replayed slots in order) and re-applies the newest captured rack PDU
-// budgets — the physical state the next reading depends on.
+// restore rebuilds the caller's state from the recovered record's payload
+// and re-applies its rack PDU budgets — the physical state the next
+// reading depends on.
 func (n *Node) restore(cfg *Config) error {
-	var budgets []float64
-	apply := func(raw []byte, hook func([]byte) error) error {
-		if len(raw) == 0 {
-			return nil
-		}
-		var e durableExtra
-		if err := json.Unmarshal(raw, &e); err != nil {
-			return fmt.Errorf("node: corrupt durable extra: %w", err)
-		}
-		if e.Budgets != nil {
-			budgets = e.Budgets
-		}
-		if hook != nil && e.Caller != nil {
-			return hook(e.Caller)
-		}
+	raw := n.Recovered.Extra
+	if len(raw) == 0 {
 		return nil
 	}
-	if err := apply(n.Recovered.ExtraSnapshot, cfg.RestoreSnapshot); err != nil {
-		return err
+	var e durableExtra
+	if err := json.Unmarshal(raw, &e); err != nil {
+		return fmt.Errorf("node: corrupt durable extra: %w", err)
 	}
-	for _, raw := range n.Recovered.ExtraSlots {
-		if err := apply(raw, cfg.ReplaySlot); err != nil {
+	if cfg.RestoreState != nil && e.Caller != nil {
+		if err := cfg.RestoreState(e.Caller); err != nil {
 			return err
 		}
 	}
-	if n.Units == nil || budgets == nil {
+	if n.Units == nil || e.Budgets == nil {
 		return nil
 	}
-	if len(budgets) != len(n.Units) {
-		return fmt.Errorf("node: recovered %d rack budgets for %d racks", len(budgets), len(n.Units))
+	if len(e.Budgets) != len(n.Units) {
+		return fmt.Errorf("node: recovered %d rack budgets for %d racks", len(e.Budgets), len(n.Units))
 	}
-	for i, b := range budgets {
+	for i, b := range e.Budgets {
 		if err := n.Units[i].SetBudget(b); err != nil {
 			return err
 		}

@@ -11,8 +11,8 @@ import (
 	"spotdc/internal/metrics"
 	"spotdc/internal/operator"
 	"spotdc/internal/power"
+	"spotdc/internal/powertrace"
 	"spotdc/internal/proto"
-	"spotdc/internal/trace"
 	"spotdc/internal/wal"
 )
 
@@ -181,7 +181,7 @@ func TestNewValidates(t *testing.T) {
 		func(c *Config) { c.SlotLen = 0 },
 		func(c *Config) { c.Journal = metrics.NewJournal(os.Stderr) },
 		func(c *Config) { c.Durable = &proto.Durable{} },
-		func(c *Config) { c.OtherLoad = make([]*trace.Power, 2) },
+		func(c *Config) { c.OtherLoad = make([]*powertrace.Power, 2) },
 	}
 	for i, mutate := range bad {
 		c := cfg

@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -270,5 +271,65 @@ func TestResponderQuiescentPathAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("healthy-slot emergency scan allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestHookFailuresCountedOthersStillReset: a rack PDU that refuses its
+// budget reset is counted and reported, and never stops the responder from
+// resetting the element's other racks — on reclamation and on restore.
+func TestHookFailuresCountedOthersStillReset(t *testing.T) {
+	log := &budgetLog{set: map[int]float64{}}
+	op, err := New(Config{
+		Topology:      testTopo(t),
+		MarketOptions: core.Options{PriceStep: 0.001},
+		Emergency: &ResponderConfig{
+			RecoverySlots: 1,
+			SetBudget: func(rack int, watts float64) error {
+				if rack == 0 {
+					return fmt.Errorf("rack %d PDU unreachable", rack)
+				}
+				return log.apply(rack, watts)
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := op.HookFailures(); n != 0 || err != nil {
+		t.Fatalf("fresh operator HookFailures = %d, %v", n, err)
+	}
+	overloaded := power.Reading{
+		RackWatts:     []float64{220, 180, 130, 110},
+		OtherPDUWatts: []float64{395, 180}, // PDU#1 load 795 > 750.75
+	}
+	if ems := op.ObserveEmergencies(overloaded, 0.05); len(ems) != 1 {
+		t.Fatalf("emergencies = %+v, want PDU#1 only", ems)
+	}
+	n, last := op.HookFailures()
+	if n != 1 || last == nil || last.Error() != "rack 0 PDU unreachable" {
+		t.Fatalf("after reclaim HookFailures = %d, %v; want 1, rack 0 PDU unreachable", n, last)
+	}
+	log.mu.Lock()
+	reclaimed, ok := log.set[1]
+	log.mu.Unlock()
+	if !ok || reclaimed >= 125+60 {
+		t.Fatalf("rack 1 budget %v (set %v), want a reclaimed budget below 185 W", reclaimed, ok)
+	}
+
+	healthy := power.Reading{
+		RackWatts:     []float64{140, 120, 130, 110},
+		OtherPDUWatts: []float64{180, 180},
+	}
+	op.ObserveEmergencies(healthy, 0.05)
+	if len(op.LastRestores()) != 1 {
+		t.Fatalf("LastRestores = %+v, want PDU#1 restored", op.LastRestores())
+	}
+	if n, _ := op.HookFailures(); n != 2 {
+		t.Fatalf("after restore HookFailures = %d, want 2", n)
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	if w := log.set[1]; w != 125+60 {
+		t.Errorf("rack 1 restored to %v, want guaranteed+headroom 185", w)
 	}
 }

@@ -1,12 +1,11 @@
-// Durable operator state (checkpoint/restore + per-slot commit records).
+// Durable operator state (checkpoint/restore).
 //
 // The operator's books are compensated accumulators, so "restore" has a
 // stricter contract than copying totals: a checkpoint captures every
-// Neumaier (sum, comp) pair, and per-slot commits re-Add the exact dollar
-// and kWh terms RunSlot folded in, in the original order. A crash restored
-// from checkpoint N and replayed through slot K therefore reaches totals
-// bit-identical to an uninterrupted run — which is what lets the crash
-// harness diff invoices with ==, not a tolerance.
+// Neumaier (sum, comp) pair, so an operator restored from the checkpoint
+// of slot K continues bit-identically to one that never stopped — which is
+// what lets the crash harness diff invoices with ==, not a tolerance. The
+// market loop commits one checkpoint per slot (proto/durable.go).
 package operator
 
 import (
@@ -76,31 +75,6 @@ type Checkpoint struct {
 	Payments       []TenantPayment `json:"payments,omitempty"`
 	LastSpotPDU    []float64       `json:"last_spot_pdu,omitempty"`
 	LastSpotUPS    float64         `json:"last_spot_ups"`
-
-	Responder *ResponderCheckpoint `json:"responder,omitempty"`
-}
-
-// PaymentDelta is one slot's billing line: the exact $ a RunSlot Add folded
-// into a tenant's accumulator. An empty tenant names the unattributed book.
-type PaymentDelta struct {
-	Tenant string  `json:"tenant,omitempty"`
-	Amount float64 `json:"amount"`
-}
-
-// SlotCommit is the WAL record for one committed slot: the accumulator
-// deltas (replayed as Adds, preserving compensation), the post-slot
-// absolute counters, the slot's predicted spot (restoring LastSpot), and
-// the responder's post-slot state. Payment deltas appear in allocation
-// order — the order RunSlot billed them — because compensated summation is
-// order-sensitive.
-type SlotCommit struct {
-	Revenue        float64        `json:"revenue"`
-	EnergyKWh      float64        `json:"energy_kwh"`
-	Payments       []PaymentDelta `json:"payments,omitempty"`
-	Slots          int            `json:"slots"`
-	EmergencySlots int            `json:"emergency_slots"`
-	SpotPDU        []float64      `json:"spot_pdu,omitempty"`
-	SpotUPS        float64        `json:"spot_ups"`
 
 	Responder *ResponderCheckpoint `json:"responder,omitempty"`
 }
@@ -208,74 +182,6 @@ func (op *Operator) Restore(cp Checkpoint) error {
 	op.lastSpot = power.Spot{
 		PDUWatts: append([]float64(nil), cp.LastSpotPDU...),
 		UPSWatts: cp.LastSpotUPS,
-	}
-	return nil
-}
-
-// LastSlotCommit builds the WAL record for the slot that produced out,
-// using the identical floating-point expressions RunSlot billed with so a
-// replayed Add reproduces the accumulation bit-for-bit. Call it after
-// RunSlot and (when the emergency loop runs) after ObserveEmergencies, so
-// the absolute counters and responder state are post-slot.
-func (op *Operator) LastSlotCommit(out SlotOutcome, slotHours float64) SlotCommit {
-	c := SlotCommit{
-		Revenue:        out.Result.RevenueRate * slotHours,
-		EnergyKWh:      out.Result.TotalWatts / 1000 * slotHours,
-		Slots:          op.slots,
-		EmergencySlots: op.emergencySlots,
-		SpotPDU:        append([]float64(nil), out.Spot.PDUWatts...),
-		SpotUPS:        out.Spot.UPSWatts,
-	}
-	for _, a := range out.Result.Allocations {
-		if a.Watts <= 0 {
-			continue
-		}
-		c.Payments = append(c.Payments, PaymentDelta{
-			Tenant: a.Tenant,
-			Amount: out.Result.Price * a.Watts / 1000 * slotHours,
-		})
-	}
-	if op.responder != nil {
-		c.Responder = op.responder.checkpoint()
-	}
-	return c
-}
-
-// ApplySlotCommit replays one committed slot into the books: accumulator
-// deltas are re-Added in their original order (bit-identical compensated
-// sums), counters and spot prediction are overwritten with the recorded
-// post-slot values, and responder state is overwritten when present.
-func (op *Operator) ApplySlotCommit(c SlotCommit) error {
-	if n := len(c.SpotPDU); n != 0 && n != len(op.topo.PDUs) {
-		return fmt.Errorf("operator: slot commit spot sized for %d PDUs, topology has %d", n, len(op.topo.PDUs))
-	}
-	if c.Responder != nil && op.responder == nil {
-		return fmt.Errorf("operator: slot commit carries responder state but the emergency responder is disabled")
-	}
-	if op.responder != nil && c.Responder != nil {
-		if err := op.responder.restore(c.Responder); err != nil {
-			return err
-		}
-	}
-	op.spotRevenue.Add(c.Revenue)
-	op.spotEnergyKWh.Add(c.EnergyKWh)
-	for _, p := range c.Payments {
-		if p.Tenant == "" {
-			op.unattributed.Add(p.Amount)
-			continue
-		}
-		acc := op.payments[p.Tenant]
-		if acc == nil {
-			acc = &stats.Neumaier{}
-			op.payments[p.Tenant] = acc
-		}
-		acc.Add(p.Amount)
-	}
-	op.slots = c.Slots
-	op.emergencySlots = c.EmergencySlots
-	op.lastSpot = power.Spot{
-		PDUWatts: append([]float64(nil), c.SpotPDU...),
-		UPSWatts: c.SpotUPS,
 	}
 	return nil
 }

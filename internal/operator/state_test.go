@@ -12,8 +12,8 @@ import (
 )
 
 // driveSlot runs one deterministic slot (varying by index) and returns the
-// commit record for it.
-func driveSlot(t *testing.T, op *Operator, i int, emergencies bool) SlotCommit {
+// post-slot checkpoint, the state the WAL commits for it.
+func driveSlot(t *testing.T, op *Operator, i int, emergencies bool) Checkpoint {
 	t.Helper()
 	surge := 0.0
 	if emergencies && i%7 == 3 {
@@ -29,14 +29,13 @@ func driveSlot(t *testing.T, op *Operator, i int, emergencies bool) SlotCommit {
 		{Rack: 2, Fn: core.LinearBid{DMax: 40, DMin: 10, QMin: 0.05, QMax: 0.3}}, // anonymous
 	}
 	const slotHours = 2.0 / 60
-	out, err := op.RunSlot(bids, reading, slotHours)
-	if err != nil {
+	if _, err := op.RunSlot(bids, reading, slotHours); err != nil {
 		t.Fatalf("slot %d: %v", i, err)
 	}
 	if emergencies {
 		op.ObserveEmergencies(reading, 0.01)
 	}
-	return op.LastSlotCommit(out, slotHours)
+	return op.Checkpoint()
 }
 
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
@@ -76,40 +75,38 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSlotCommitReplayBitIdentical(t *testing.T) {
+// TestSlotCheckpointJSONRestoreBitIdentical pins the WAL's slot record: a
+// post-slot checkpoint, round-tripped through JSON as the log stores it,
+// restores an operator that continues bit-identically to the live one.
+func TestSlotCheckpointJSONRestoreBitIdentical(t *testing.T) {
 	a := newOp(t)
-	b := newOp(t)
-	var mid Checkpoint
+	var b *Operator
 	for i := 0; i < 16; i++ {
-		c := driveSlot(t, a, i, false)
-		if i == 7 {
-			mid = a.Checkpoint()
+		cp := driveSlot(t, a, i, false)
+		if b != nil {
+			driveSlot(t, b, i, false)
+			continue
 		}
-		if i > 7 {
-			// Round-trip the commit through JSON, as the WAL stores it.
-			data, err := json.Marshal(c)
+		if i == 7 {
+			data, err := json.Marshal(cp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var decoded SlotCommit
+			var decoded Checkpoint
 			if err := json.Unmarshal(data, &decoded); err != nil {
 				t.Fatal(err)
 			}
-			if i == 8 {
-				if err := b.Restore(mid); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := b.ApplySlotCommit(decoded); err != nil {
-				t.Fatalf("ApplySlotCommit slot %d: %v", i, err)
+			b = newOp(t)
+			if err := b.Restore(decoded); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
 	if !reflect.DeepEqual(a.Checkpoint(), b.Checkpoint()) {
-		t.Fatal("replayed checkpoint differs from live run")
+		t.Fatal("restored checkpoint differs from live run")
 	}
 	if a.SpotRevenue() != b.SpotRevenue() || a.SpotEnergyKWh() != b.SpotEnergyKWh() {
-		t.Fatalf("replayed sums not bit-identical: %v vs %v", a.SpotRevenue(), b.SpotRevenue())
+		t.Fatalf("restored sums not bit-identical: %v vs %v", a.SpotRevenue(), b.SpotRevenue())
 	}
 	if err := b.ReconcileAccounts(); err != nil {
 		t.Fatal(err)

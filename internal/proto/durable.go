@@ -1,73 +1,61 @@
 // Durable market state: the glue between the market loop and internal/wal.
 //
-// Commit discipline: a slot is committed when its WAL record is appended
-// (and, under the every-slot policy, fsynced) — after the operator has run
-// the slot but before any broadcast goes out. Recovery therefore resumes at
-// the slot after the last committed record; a crash that tears the record
-// of slot K restores to K-1 and the restarted loop re-runs K from the same
-// deterministic inputs. A crash after the commit but before the broadcast
-// bills a grant tenants never heard — the standard write-ahead trade-off:
-// the books never lose a committed slot, at the cost of occasionally
-// charging for an undelivered one (see DESIGN §4h).
+// Commit discipline: a slot is committed when its WAL record — the
+// operator's full post-slot checkpoint plus the caller's state — is
+// appended (and, under the every-slot policy, fsynced), after the operator
+// has run the slot but before any broadcast goes out. Degraded slots commit
+// the same record: the books are unchanged, the slot index advances.
+// Recovery restores the newest intact record, so nothing is replayed; a
+// crash that tears the record of slot K restores K-1 and the restarted loop
+// re-runs K from the same deterministic inputs. A crash after the commit
+// but before the broadcast bills a grant tenants never heard — the
+// standard write-ahead trade-off: the books never lose a committed slot,
+// at the cost of occasionally charging for an undelivered one (see DESIGN
+// §4h).
 package proto
 
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"spotdc/internal/operator"
 	"spotdc/internal/wal"
 )
 
-// walTypeSlot is the WAL record type for one committed slot.
-const walTypeSlot byte = 0x01
+const (
+	// walTypeSlot is the WAL record type of one committed slot.
+	walTypeSlot byte = 0x02
+	// walTypeDelta tagged the older format's per-slot books deltas;
+	// recovery refuses a log holding one (wal.ErrOldFormat).
+	walTypeDelta byte = 0x01
+)
 
-// defaultSnapshotEvery is how many committed slots elapse between automatic
-// snapshots when Durable.SnapshotEvery is zero.
-const defaultSnapshotEvery = 64
-
-// Durable threads a write-ahead log through the market loop: one record
-// per slot boundary, periodic snapshots with segment compaction, and
-// recovery back into the operator and server.
+// Durable threads a write-ahead log through the market loop: one
+// full-state record per slot boundary, and recovery back into the operator
+// and server.
 type Durable struct {
 	// Log is the open write-ahead log (required).
 	Log *wal.Log
-	// SnapshotEvery takes a snapshot after this many committed slots
-	// (default 64). Snapshots bound replay length and let the log drop
-	// fully-covered segments.
-	SnapshotEvery int
-	// ExtraSnapshot, if non-nil, contributes opaque extra state (e.g. a
-	// billing ledger) to every snapshot; RecoverDurable hands it back in
-	// Recovered.ExtraSnapshot. The hook keeps this package free of
-	// higher-layer imports (billing imports proto's consumers, not vice
-	// versa).
-	ExtraSnapshot func() ([]byte, error)
-	// ExtraSlot, if non-nil, contributes opaque extra state to every slot
-	// record (e.g. harness-side device budgets); RecoverDurable returns the
-	// replayed values in order in Recovered.ExtraSlots.
-	ExtraSlot func(slot int) ([]byte, error)
+	// SaveState, if non-nil, contributes opaque caller state (e.g. a
+	// billing ledger) to every slot record; RecoverDurable hands the
+	// restored record's back in Recovered.Extra. The hook keeps this
+	// package free of higher-layer imports.
+	SaveState func() ([]byte, error)
 	// OnCommit, if non-nil, runs right before a cleared slot's record is
 	// built: the hook higher layers use to fold the slot into their own
-	// state (e.g. a billing ledger) so the subsequent ExtraSlot capture
-	// already includes it. Degraded slots do not fire it.
+	// state (e.g. a billing ledger) so the SaveState capture already
+	// includes it. Degraded slots do not fire it.
 	OnCommit func(slot int, out operator.SlotOutcome)
 
-	sinceSnapshot int
+	mu  sync.Mutex
+	err error // first skipped commit
 }
 
 // durableSlotRecord is the JSON payload of one walTypeSlot record.
 type durableSlotRecord struct {
-	Slot     int                  `json:"slot"`
-	Degraded bool                 `json:"degraded,omitempty"`
-	Commit   *operator.SlotCommit `json:"commit,omitempty"`
-	Extra    json.RawMessage      `json:"extra,omitempty"`
-}
-
-// durableSnapshot is the JSON payload of a WAL snapshot frame.
-type durableSnapshot struct {
+	Slot       int                 `json:"slot"`
 	Checkpoint operator.Checkpoint `json:"checkpoint"`
-	Taken      int                 `json:"taken"`
-	HaveTaken  bool                `json:"have_taken"`
 	Extra      json.RawMessage     `json:"extra,omitempty"`
 }
 
@@ -75,59 +63,46 @@ func (d *Durable) validate() error {
 	if d.Log == nil {
 		return fmt.Errorf("%w: Durable needs an open WAL", ErrProtocol)
 	}
-	if d.SnapshotEvery < 0 {
-		return fmt.Errorf("%w: SnapshotEvery %d negative", ErrProtocol, d.SnapshotEvery)
-	}
 	return nil
 }
 
-// commitSlot appends the slot's WAL record and makes it durable under the
-// log's sync policy. WAL failures are sticky inside the log and must never
-// stop the market (availability over durability — the operator keeps
-// clearing on a full disk); callers surface Log.Err() at shutdown.
-func (d *Durable) commitSlot(op *operator.Operator, srv *Server, slot int, commit *operator.SlotCommit) {
-	rec := durableSlotRecord{Slot: slot, Degraded: commit == nil, Commit: commit}
-	if d.ExtraSlot != nil {
-		if extra, err := d.ExtraSlot(slot); err == nil {
-			rec.Extra = extra
-		}
+// commitSlot appends the slot's record and makes it durable under the
+// log's sync policy. A commit is all or nothing: if the caller state or
+// the record cannot be encoded, nothing is appended and the failure is
+// kept for Err. Neither that nor a WAL failure (sticky inside the log)
+// stops the market — availability over durability; the next record
+// carries the full state again and supersedes a skipped one.
+func (d *Durable) commitSlot(op *operator.Operator, slot int) {
+	rec := durableSlotRecord{Slot: slot, Checkpoint: op.Checkpoint()}
+	var err error
+	if d.SaveState != nil {
+		rec.Extra, err = d.SaveState()
 	}
-	data, err := json.Marshal(rec)
+	var data []byte
+	if err == nil {
+		data, err = json.Marshal(rec)
+	}
 	if err != nil {
+		d.mu.Lock()
+		if d.err == nil {
+			d.err = fmt.Errorf("proto: slot %d not committed: %w", slot, err)
+		}
+		d.mu.Unlock()
 		return
 	}
 	if _, err := d.Log.Append(walTypeSlot, data); err != nil {
 		return
 	}
 	_ = d.Log.SlotSync()
-	every := d.SnapshotEvery
-	if every == 0 {
-		every = defaultSnapshotEvery
-	}
-	if d.sinceSnapshot++; d.sinceSnapshot >= every {
-		d.sinceSnapshot = 0
-		d.snapshot(op, srv)
-	}
 }
 
-// snapshot persists a full checkpoint and compacts covered segments.
-func (d *Durable) snapshot(op *operator.Operator, srv *Server) {
-	snap := durableSnapshot{Checkpoint: op.Checkpoint()}
-	if srv != nil {
-		snap.Taken, snap.HaveTaken = srv.MarketPosition()
-	}
-	if d.ExtraSnapshot != nil {
-		extra, err := d.ExtraSnapshot()
-		if err != nil {
-			return
-		}
-		snap.Extra = extra
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return
-	}
-	_ = d.Log.Snapshot(data)
+// Err returns the first slot commit skipped because its record could not
+// be built (nil if none). Callers surface it at shutdown next to the log's
+// own sticky error.
+func (d *Durable) Err() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.err
 }
 
 // Recovered reports what RecoverDurable rebuilt from a state directory.
@@ -135,70 +110,52 @@ type Recovered struct {
 	// NextSlot is where the market loop should resume: one past the last
 	// committed slot (0 for a fresh directory).
 	NextSlot int
-	// SlotsReplayed counts committed slot records applied on top of the
-	// snapshot; DegradedReplayed counts degraded markers among them.
-	SlotsReplayed    int
-	DegradedReplayed int
-	// HadSnapshot reports whether a snapshot anchored the recovery.
-	HadSnapshot bool
+	// SlotsReplayed counts the intact slot records recovery read; only the
+	// newest is restored — nothing is replayed.
+	SlotsReplayed int
 	// Truncations echoes the WAL's torn-tail repairs (wal.Recovery).
 	Truncations int
-	// ExtraSnapshot is the opaque extra state from the recovered snapshot
-	// (nil without one); ExtraSlots are the per-slot extras in replay order.
-	ExtraSnapshot []byte
-	ExtraSlots    [][]byte
+	// Extra is the caller state saved with the restored record (nil if
+	// none).
+	Extra []byte
 }
 
-// RecoverDurable rebuilds market state from a WAL recovery: the snapshot
-// (if any) restores the operator checkpoint and server position, then every
-// committed slot record replays into the books. srv may be nil (recovery
-// before the server exists); the operator is required.
+// RecoverDurable rebuilds market state from a WAL recovery: the newest
+// slot record restores the operator checkpoint and the server's market
+// position. srv may be nil (recovery before the server exists); the
+// operator is required. A log in the older delta format is refused with
+// wal.ErrOldFormat.
 func RecoverDurable(rec *wal.Recovery, op *operator.Operator, srv *Server) (*Recovered, error) {
 	if op == nil {
 		return nil, fmt.Errorf("%w: recovery needs an operator", ErrProtocol)
 	}
 	out := &Recovered{Truncations: rec.Truncations}
-	if rec.Snapshot != nil {
-		var snap durableSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			return nil, fmt.Errorf("proto: corrupt snapshot payload: %w", err)
-		}
-		if err := op.Restore(snap.Checkpoint); err != nil {
-			return nil, err
-		}
-		out.HadSnapshot = true
-		out.ExtraSnapshot = snap.Extra
-		if snap.HaveTaken {
-			out.NextSlot = snap.Taken + 1
+	var newest *wal.Record
+	for i := range rec.Records {
+		switch r := &rec.Records[i]; r.Type {
+		case walTypeSlot:
+			out.SlotsReplayed++
+			newest = r
+		case walTypeDelta:
+			return nil, fmt.Errorf("%w: record %d is a per-slot delta (type %#x)", wal.ErrOldFormat, r.Seq, r.Type)
 		}
 	}
-	for _, r := range rec.Records {
-		if r.Type != walTypeSlot {
-			continue
-		}
-		var sr durableSlotRecord
-		if err := json.Unmarshal(r.Data, &sr); err != nil {
-			return nil, fmt.Errorf("proto: corrupt slot record seq %d: %w", r.Seq, err)
-		}
-		if sr.Degraded {
-			out.DegradedReplayed++
-		} else if sr.Commit != nil {
-			if err := op.ApplySlotCommit(*sr.Commit); err != nil {
-				return nil, fmt.Errorf("proto: slot record %d: %w", sr.Slot, err)
-			}
-		}
-		out.SlotsReplayed++
-		if sr.Extra != nil {
-			out.ExtraSlots = append(out.ExtraSlots, sr.Extra)
-		}
-		if sr.Slot+1 > out.NextSlot {
-			out.NextSlot = sr.Slot + 1
-		}
+	if newest == nil {
+		return out, nil
 	}
-	if srv != nil && out.NextSlot > 0 {
+	var sr durableSlotRecord
+	if err := json.Unmarshal(newest.Data, &sr); err != nil {
+		return nil, fmt.Errorf("proto: corrupt slot record seq %d: %w", newest.Seq, err)
+	}
+	if err := op.Restore(sr.Checkpoint); err != nil {
+		return nil, fmt.Errorf("proto: slot record %d: %w", sr.Slot, err)
+	}
+	out.NextSlot = sr.Slot + 1
+	out.Extra = sr.Extra
+	if srv != nil {
 		// Position the bid window so reconnecting tenants land in the
 		// correct slot: bids at or before the last committed slot are stale.
-		srv.RestoreMarketPosition(out.NextSlot - 1)
+		srv.RestoreMarketPosition(sr.Slot)
 	}
 	return out, nil
 }

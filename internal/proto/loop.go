@@ -118,9 +118,9 @@ type MarketLoop struct {
 	// BreakerTolerance is the excursion fraction breakers ride through
 	// (e.g. 0.05); only used when CheckEmergencies is set.
 	BreakerTolerance float64
-	// Durable, if non-nil, write-ahead-logs every slot before its broadcast
-	// and snapshots periodically, making the operator's books and market
-	// position crash-recoverable (durable.go). A nil Durable keeps the
+	// Durable, if non-nil, write-ahead-logs the operator's full state at
+	// every slot before its broadcast, making the operator's books and
+	// market position crash-recoverable (durable.go). A nil Durable keeps the
 	// historical in-memory-only behavior.
 	Durable *Durable
 	// Stop, if non-nil, ends RunSlots early at the next slot boundary when
@@ -201,11 +201,11 @@ func (l *MarketLoop) degrade(slot, bids int, err error, root *otrace.Span) {
 	root.SetBool("degraded", true)
 	root.SetStr("error", err.Error())
 	if l.Durable != nil {
-		// Degraded slots commit too (with no books delta): recovery must know
+		// Degraded slots commit too (books unchanged): recovery must know
 		// the slot was consumed, or a restart would re-run it against a
 		// journal that already recorded the degradation.
 		ws := l.Tracer.StartChild("wal_commit", root)
-		l.Durable.commitSlot(l.Operator, l.Server, slot, nil)
+		l.Durable.commitSlot(l.Operator, slot)
 		ws.End()
 	}
 	bs := l.Tracer.StartChild("broadcast", root)
@@ -468,15 +468,14 @@ func (l *MarketLoop) RunSlots(fromSlot, slots int) (int, error) {
 			emergencyChecked = true
 		}
 		if l.Durable != nil {
-			// Commit point: the slot's books delta and post-slot responder
-			// state hit the WAL before any tenant hears the outcome, so a
-			// crash on either side of the broadcast recovers consistently.
+			// Commit point: the post-slot books and responder state hit the
+			// WAL before any tenant hears the outcome, so a crash on either
+			// side of the broadcast recovers consistently.
 			ws := l.Tracer.StartChild("wal_commit", root)
 			if l.Durable.OnCommit != nil {
 				l.Durable.OnCommit(slot, out)
 			}
-			commit := l.Operator.LastSlotCommit(out, slotHours)
-			l.Durable.commitSlot(l.Operator, l.Server, slot, &commit)
+			l.Durable.commitSlot(l.Operator, slot)
 			ws.End()
 		}
 		bs := l.Tracer.StartChild("broadcast", root)

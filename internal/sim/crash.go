@@ -29,7 +29,6 @@ import (
 	"strings"
 
 	"spotdc/internal/operator"
-	"spotdc/internal/proto"
 	"spotdc/internal/tenant"
 	"spotdc/internal/wal"
 )
@@ -61,37 +60,29 @@ type CrashRunOptions struct {
 	JournalSyncEvery int
 	// Policy is the WAL fsync discipline (zero value: every record).
 	Policy wal.SyncPolicy
-	// SegmentBytes / SnapshotEvery tune WAL rotation and snapshot cadence
-	// (zeros take the wal/proto defaults).
-	SegmentBytes  int64
-	SnapshotEvery int
+	// SegmentBytes tunes WAL rotation (zero takes the wal default).
+	SegmentBytes int64
 	// Kills is the schedule of operator deaths, strictly increasing by
 	// AfterSlot; each must leave at least one slot to run afterwards.
 	Kills []CrashKill
 
-	// The four caller-state hooks thread higher-layer durable state (e.g. a
-	// billing ledger) through the WAL without this package importing it.
+	// The three caller-state hooks thread higher-layer durable state (e.g.
+	// a billing ledger) through the WAL without this package importing it.
 	// OnCommit folds a cleared slot into the caller's state right before
-	// the commit captures it; ExtraSlot/ExtraSnapshot serialize that state
-	// into slot records and snapshots; RestoreSnapshot/ReplaySlot rebuild
-	// it during recovery (snapshot first, then each replayed slot in
-	// order). All optional.
-	OnCommit        func(slot int, out operator.SlotOutcome)
-	ExtraSlot       func(slot int) ([]byte, error)
-	ExtraSnapshot   func() ([]byte, error)
-	RestoreSnapshot func(data []byte) error
-	ReplaySlot      func(data []byte) error
-	// OnRestart observes each recovery (restart = 1 for the first
-	// post-kill lifetime) after the restore hooks have run.
-	OnRestart func(restart int, rec *proto.Recovered)
+	// the commit captures it; SaveState serializes that state into every
+	// slot record; RestoreState rebuilds it from the recovered record. All
+	// optional.
+	OnCommit     func(slot int, out operator.SlotOutcome)
+	SaveState    func() ([]byte, error)
+	RestoreState func(data []byte) error
 }
 
 // CrashResult summarizes a segmented run.
 type CrashResult struct {
 	// Segments counts operator lifetimes (kills + 1).
 	Segments int
-	// Truncations / Replayed total the WAL repairs and slot records
-	// replayed across every recovery.
+	// Truncations / Replayed total the WAL repairs and the intact slot
+	// records read across every recovery.
 	Truncations int
 	Replayed    int
 	// Cleared / SlotErrors / InfeasibleSlots sum the live (non-replayed)
@@ -172,7 +163,7 @@ func tearWALTail(dir string) error {
 	if err != nil {
 		return err
 	}
-	torn := append([]byte{0xD7, 0x01, 0x01, 0x00, 0x00, 0x40}, make([]byte, 8)...)
+	torn := append([]byte{0xD7, 0x01, 0x02, 0x00, 0x00, 0x40}, make([]byte, 8)...)
 	if _, err := f.Write(torn); err != nil {
 		f.Close()
 		return err
@@ -195,7 +186,7 @@ func CrashNetRun(sc Scenario, opts NetRunOptions, crash CrashRunOptions) (*Crash
 	res := &CrashResult{}
 	from := 0
 	for seg := 0; seg <= len(crash.Kills); seg++ {
-		lt := lifetime{from: from, to: sc.Slots, crash: &crash, restart: seg}
+		lt := lifetime{from: from, to: sc.Slots, crash: &crash}
 		if seg < len(crash.Kills) {
 			lt.kill = &crash.Kills[seg]
 			lt.to = lt.kill.AfterSlot + 1

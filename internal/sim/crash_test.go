@@ -101,12 +101,11 @@ func TestCrashSmokeBitIdenticalRecovery(t *testing.T) {
 			testbedScenario(t, TestbedOptions{Seed: 17, Slots: slots}),
 			opts,
 			CrashRunOptions{
-				StateDir:      filepath.Join(dir, "state"),
-				JournalPath:   journal,
-				Policy:        wal.SyncEverySlot,
-				SegmentBytes:  1 << 15,
-				SnapshotEvery: 48,
-				Kills:         kills,
+				StateDir:     filepath.Join(dir, "state"),
+				JournalPath:  journal,
+				Policy:       wal.SyncEverySlot,
+				SegmentBytes: 1 << 15,
+				Kills:        kills,
 			})
 		if err != nil {
 			t.Fatalf("%s run: %v", name, err)

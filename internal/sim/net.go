@@ -242,12 +242,11 @@ func faultFree(opts NetRunOptions) bool {
 
 // lifetime is one operator process of a networked run: slots [from, to),
 // recovered from the crash plan's state dir when crash is set (nil: an
-// in-memory NetRun). restart numbers recovered lifetimes from 1; kill, if
-// non-nil, ends the lifetime in a simulated process death.
+// in-memory NetRun). kill, if non-nil, ends the lifetime in a simulated
+// process death.
 type lifetime struct {
 	from, to int
 	crash    *CrashRunOptions
-	restart  int
 	kill     *CrashKill
 }
 
@@ -319,9 +318,7 @@ func runLifetime(sc Scenario, opts NetRunOptions, lt lifetime) (*NetResult, *nod
 	}
 	if c := lt.crash; c != nil {
 		cfg.WAL = wal.Options{Dir: c.StateDir, Policy: c.Policy, SegmentBytes: c.SegmentBytes}
-		cfg.SnapshotEvery = c.SnapshotEvery
-		cfg.OnCommit, cfg.ExtraSlot, cfg.ExtraSnapshot = c.OnCommit, c.ExtraSlot, c.ExtraSnapshot
-		cfg.RestoreSnapshot, cfg.ReplaySlot = c.RestoreSnapshot, c.ReplaySlot
+		cfg.OnCommit, cfg.SaveState, cfg.RestoreState = c.OnCommit, c.SaveState, c.RestoreState
 		cfg.JournalPath, cfg.JournalSyncEvery = c.JournalPath, c.JournalSyncEvery
 	}
 	n, err := node.New(cfg)
@@ -331,9 +328,6 @@ func runLifetime(sc Scenario, opts NetRunOptions, lt lifetime) (*NetResult, *nod
 	if next := n.NextSlot(); next != lt.from {
 		n.Close()
 		return nil, nil, fmt.Errorf("recovered to slot %d, harness expected %d", next, lt.from)
-	}
-	if lt.restart > 0 && lt.crash.OnRestart != nil {
-		lt.crash.OnRestart(lt.restart, n.Recovered)
 	}
 	bidInj.SetMetrics(n.ProtoMetrics)
 	bcastInj.SetMetrics(n.ProtoMetrics)

@@ -7,8 +7,8 @@ import (
 	"spotdc/internal/core"
 	"spotdc/internal/operator"
 	"spotdc/internal/power"
+	"spotdc/internal/powertrace"
 	"spotdc/internal/tenant"
-	"spotdc/internal/trace"
 	"spotdc/internal/workload"
 )
 
@@ -156,8 +156,8 @@ func testbedAgents(topo *power.Topology, opt TestbedOptions, scale float64, suff
 		return i, nil
 	}
 	seedBase := opt.Seed*1000 + int64(len(suffix))
-	mkSprintLoad := func(seed int64, base, peak float64) (*trace.Power, error) {
-		return trace.GenerateArrivals(trace.ArrivalConfig{
+	mkSprintLoad := func(seed int64, base, peak float64) (*powertrace.Power, error) {
+		return powertrace.GenerateArrivals(powertrace.ArrivalConfig{
 			Name: "load", Seed: seed, Slots: opt.Slots, SlotSeconds: opt.SlotSeconds,
 			BaseRate: base * scale, PeakRate: peak * scale,
 			// Bursts push the load modestly past what the reservation
@@ -167,8 +167,8 @@ func testbedAgents(topo *power.Topology, opt TestbedOptions, scale float64, suff
 			PhaseOffset: opt.SprintPhase,
 		})
 	}
-	mkBacklog := func(seed int64) (*trace.Power, error) {
-		return trace.GenerateBacklog(trace.BacklogConfig{
+	mkBacklog := func(seed int64) (*powertrace.Power, error) {
+		return powertrace.GenerateBacklog(powertrace.BacklogConfig{
 			Name: "backlog", Seed: seed, Slots: opt.Slots, SlotSeconds: opt.SlotSeconds,
 			ActiveFraction: opt.OppActiveFraction, MeanUnits: 10,
 		})
@@ -260,10 +260,10 @@ func testbedAgents(topo *power.Topology, opt TestbedOptions, scale float64, suff
 	return agents, nil
 }
 
-func otherTraces(opt TestbedOptions, pdus int, leasedPerPDU float64, seedOffset int64) ([]*trace.Power, error) {
-	out := make([]*trace.Power, pdus)
+func otherTraces(opt TestbedOptions, pdus int, leasedPerPDU float64, seedOffset int64) ([]*powertrace.Power, error) {
+	out := make([]*powertrace.Power, pdus)
 	for m := 0; m < pdus; m++ {
-		tr, err := trace.GeneratePower(trace.PowerConfig{
+		tr, err := powertrace.GeneratePower(powertrace.PowerConfig{
 			Name: fmt.Sprintf("other-pdu%d", m), Seed: opt.Seed + seedOffset + int64(m)*7 + 11,
 			Slots: opt.Slots, SlotSeconds: opt.SlotSeconds,
 			MeanWatts:  leasedPerPDU * opt.OtherMeanFrac,
@@ -359,7 +359,7 @@ func Scaled(opt ScaledOptions) (Scenario, error) {
 	}
 
 	var agents []tenant.Agent
-	var others []*trace.Power
+	var others []*powertrace.Power
 	kept := 0
 	for rep := 0; rep < replicas; rep++ {
 		suffix := fmt.Sprintf("/%d", rep)

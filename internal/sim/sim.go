@@ -18,9 +18,9 @@ import (
 	"spotdc/internal/otrace"
 	"spotdc/internal/par"
 	"spotdc/internal/power"
+	"spotdc/internal/powertrace"
 	"spotdc/internal/stats"
 	"spotdc/internal/tenant"
-	"spotdc/internal/trace"
 	"spotdc/internal/workload"
 )
 
@@ -62,7 +62,7 @@ type Scenario struct {
 	Agents []tenant.Agent
 	// OtherLoad is one power trace per PDU for the non-participating
 	// ("Other" in Table I) tenants.
-	OtherLoad []*trace.Power
+	OtherLoad []*powertrace.Power
 	// OtherLeasedWatts is the guaranteed capacity leased by the
 	// non-participating tenants (enters the operator's revenue baseline).
 	OtherLeasedWatts float64

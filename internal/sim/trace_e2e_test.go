@@ -86,7 +86,7 @@ func TestNetRunSpansMatchFaultSchedule(t *testing.T) {
 		Journal:      metrics.NewJournal(&journal),
 		Tracer:       opTracer,
 		TenantTracer: tenTracer,
-		Durable:      &proto.Durable{Log: log, SnapshotEvery: 32},
+		Durable:      &proto.Durable{Log: log},
 	})
 	if err != nil {
 		t.Fatal(err)

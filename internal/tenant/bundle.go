@@ -4,7 +4,7 @@ import (
 	"math"
 
 	"spotdc/internal/core"
-	"spotdc/internal/trace"
+	"spotdc/internal/powertrace"
 	"spotdc/internal/workload"
 )
 
@@ -24,7 +24,7 @@ type BundledSprint struct {
 	// sum of tier latencies.
 	Cost workload.SprintCost
 	// Load is the request-rate trace; every tier serves the same rate.
-	Load *trace.Power
+	Load *powertrace.Power
 	// QMin and QMax are the shared bidding prices.
 	QMin, QMax float64
 

@@ -21,7 +21,7 @@ import (
 	"math"
 
 	"spotdc/internal/core"
-	"spotdc/internal/trace"
+	"spotdc/internal/powertrace"
 	"spotdc/internal/workload"
 )
 
@@ -247,7 +247,7 @@ type Sprint struct {
 	// Headroom is the rack's spot headroom P_r^R in watts.
 	Headroom float64
 	// Load is the request-rate trace (req/s per slot).
-	Load *trace.Power
+	Load *powertrace.Power
 	// QMin and QMax are the bidding price range in $/kW·h. Sprinting
 	// tenants bid the highest prices (QMax several times the amortized
 	// guaranteed rate).
@@ -430,7 +430,7 @@ type Opp struct {
 	// Headroom is the rack's spot headroom P_r^R.
 	Headroom float64
 	// Backlog is the pending-work trace; zero means no spot demand.
-	Backlog *trace.Power
+	Backlog *powertrace.Power
 	// QMin and QMax are the bidding price range in $/kW·h; QMax should not
 	// exceed the amortized guaranteed-capacity rate (≈0.2).
 	QMin, QMax float64

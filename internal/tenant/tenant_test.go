@@ -6,16 +6,16 @@ import (
 	"testing/quick"
 
 	"spotdc/internal/core"
-	"spotdc/internal/trace"
+	"spotdc/internal/powertrace"
 	"spotdc/internal/workload"
 )
 
-func constLoad(v float64, n int) *trace.Power {
+func constLoad(v float64, n int) *powertrace.Power {
 	w := make([]float64, n)
 	for i := range w {
 		w[i] = v
 	}
-	return &trace.Power{Name: "const", SlotSeconds: 120, Watts: w}
+	return &powertrace.Power{Name: "const", SlotSeconds: 120, Watts: w}
 }
 
 // newSprint builds a Search-like sprinting agent under high load (SLO at

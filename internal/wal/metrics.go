@@ -5,14 +5,12 @@ import "spotdc/internal/metrics"
 // Metrics is the wal_* instrumentation family set. A nil Options.Metrics
 // runs the log uninstrumented at zero cost.
 type Metrics struct {
-	appends       *metrics.Counter
-	appendBytes   *metrics.Counter
-	fsyncs        *metrics.Counter
-	fsyncSeconds  *metrics.Histogram
-	truncations   *metrics.Counter
-	snapshots     *metrics.Counter
-	snapshotBytes *metrics.Gauge
-	segments      *metrics.Gauge
+	appends      *metrics.Counter
+	appendBytes  *metrics.Counter
+	fsyncs       *metrics.Counter
+	fsyncSeconds *metrics.Histogram
+	truncations  *metrics.Counter
+	segments     *metrics.Gauge
 }
 
 // fsyncBounds buckets fsync latency: sub-100µs page-cache hits through
@@ -32,10 +30,6 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 			"Write-ahead log fsync latency in seconds.", fsyncBounds),
 		truncations: r.Counter("spotdc_wal_recovery_truncations_total",
 			"Torn or corrupt record tails truncated during recovery."),
-		snapshots: r.Counter("spotdc_wal_snapshots_total",
-			"State snapshots persisted."),
-		snapshotBytes: r.Gauge("spotdc_wal_snapshot_bytes",
-			"Size of the most recent state snapshot in bytes."),
 		segments: r.Gauge("spotdc_wal_segments",
 			"Live write-ahead log segment files."),
 	}

@@ -1,25 +1,36 @@
 // Package wal is SpotDC's durable-state subsystem: an append-only,
-// segmented write-ahead log with periodic snapshots and crash recovery.
+// segmented write-ahead log of full-state records with crash recovery.
 // The operator's market obligations outlive any single slot — invoices
 // accumulate for a month, an emergency suspension must persist until the
-// element recovers — so the market loop commits one record per slot
-// boundary here before broadcasting, and a restarted operator replays the
-// log to land exactly where it died.
+// element recovers — so the market loop commits its whole post-slot state
+// here at every slot boundary before broadcasting, and a restarted
+// operator restores the newest intact record to land exactly where it
+// died.
 //
 // The subsystem is deliberately generic: records are opaque (type byte +
 // payload), so the packages that own the state (operator, proto, billing)
 // serialize themselves and wal stays import-cycle-free and stdlib-only.
+// Its one assumption about payloads is that each record supersedes every
+// record before it, which is what lets the log forget old segments.
 //
 // On-disk format. Every record is one frame, reusing the wire codec's
 // framing conventions (internal/proto binary codec): a 6-byte header
 // [magic 0xD7][version 0x01][type][u24 BE payload length], the payload,
 // then a u32 BE CRC32C (Castagnoli) over header+payload. Frames are
-// concatenated into segment files named wal-<first seq, %016x>.seg; a
-// snapshot is a single frame in its own snap-<covered seq>.snap file,
-// written atomically (tmp + fsync + rename + directory fsync). Recovery
-// loads the newest valid snapshot and replays every record at or after
-// its sequence; the first torn or CRC-failing record truncates the log
-// there — a crash mid-write must cost the tail record, never the run.
+// concatenated into segment files named wal-<first seq, %016x>.seg.
+//
+// Retention. When a full segment is sealed (fsynced), every older segment
+// is deleted: at most the sealed segment and the active one stay on disk,
+// so the newest record always has an older fallback behind it.
+//
+// Recovery reads the newest gap-free run of segments. The first torn or
+// CRC-failing record ends a run and is truncated there — a crash
+// mid-write must cost the tail record, never the run — and the newest
+// run that still holds a record wins. Segments outside it are deleted:
+// older ones are superseded (a stale one may survive a deletion that
+// never reached disk), newer ones hold nothing. A directory holding
+// snap-*.snap files is in the older delta-and-snapshot format and is
+// refused (ErrOldFormat), never recovered as an empty log.
 package wal
 
 import (
@@ -43,30 +54,32 @@ const (
 	crcSize      = 4
 
 	// MaxRecord bounds one record's payload (the u24 length field). A
-	// 15,000-rack slot record or operator checkpoint is single-digit
-	// megabytes of JSON, comfortably inside it.
+	// 15,000-rack slot record is ~180 KB of JSON, comfortably inside it.
 	MaxRecord = 1<<24 - 1
 
-	segPrefix  = "wal-"
-	segSuffix  = ".seg"
-	snapPrefix = "snap-"
-	snapSuffix = ".snap"
+	segPrefix = "wal-"
+	segSuffix = ".seg"
+	// oldSnapPrefix/oldSnapSuffix name the snapshot files of the older
+	// delta-and-snapshot format; their presence refuses the directory.
+	oldSnapPrefix = "snap-"
+	oldSnapSuffix = ".snap"
 
-	// snapFrameType tags the single frame inside a snapshot file; record
-	// types passed to Append are caller-defined and must not collide with
-	// it, so they are capped below it.
+	// snapFrameType tagged the older format's snapshot frames. It stays
+	// reserved, so no record can be mistaken for one: record types passed
+	// to Append are caller-defined and capped below it.
 	snapFrameType = 0xFF
-
-	// retainSnapshots keeps this many newest snapshots (and the segments
-	// needed to replay from the oldest retained one), so a snapshot file
-	// corrupted at rest still leaves a recoverable older restore point.
-	retainSnapshots = 2
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrClosed reports an operation on a closed log.
 var ErrClosed = errors.New("wal: log closed")
+
+// ErrOldFormat reports a state directory written in the older
+// delta-and-snapshot format (snapshot files, or per-slot delta records
+// that the owning package recognises by type). It cannot be recovered
+// into full-state records; it is never treated as an empty log.
+var ErrOldFormat = errors.New("wal: state dir in the older delta-and-snapshot format")
 
 // SyncPolicy selects when appended records are fsynced to stable storage.
 type SyncPolicy int
@@ -147,33 +160,26 @@ type Record struct {
 	Data []byte
 }
 
-// Recovery is what Open found on disk: the newest valid snapshot (nil if
-// none) and every durable record at or after it, in sequence order. The
-// truncation counters report how much a crash (or corruption) cost.
+// Recovery is what Open found on disk: every intact record of the
+// recovered run of segments, in sequence order (the newest is the restore
+// point). The truncation counters report how much a crash (or corruption)
+// cost.
 type Recovery struct {
-	// Snapshot is the newest valid snapshot payload, or nil.
-	Snapshot []byte
-	// SnapshotSeq is the sequence the snapshot covers: records with
-	// Seq >= SnapshotSeq are returned in Records, everything earlier is
-	// folded into the snapshot.
-	SnapshotSeq uint64
-	// Records are the replayable records, ascending by Seq.
+	// Records are the intact records, ascending by Seq.
 	Records []Record
 	// Truncations counts torn/CRC-failing tails cut off during recovery
 	// (0 after a clean shutdown, 1 after a typical crash).
 	Truncations int
 	// TruncatedBytes is how many trailing bytes those truncations dropped.
 	TruncatedBytes int64
-	// DroppedSegments counts post-corruption segment files removed outright.
+	// DroppedSegments counts segment files outside the recovered run
+	// (superseded or post-corruption) removed outright.
 	DroppedSegments int
-	// CorruptSnapshots counts snapshot files that failed validation and
-	// were skipped in favor of an older one.
-	CorruptSnapshots int
 }
 
-// Empty reports a fresh log: no snapshot and nothing to replay.
+// Empty reports a fresh log: no record to restore.
 func (r *Recovery) Empty() bool {
-	return r == nil || (r.Snapshot == nil && len(r.Records) == 0)
+	return r == nil || len(r.Records) == 0
 }
 
 // Log is an append-only segmented write-ahead log. All methods are safe
@@ -188,7 +194,6 @@ type Log struct {
 	segBase uint64   // sequence of the active segment's first record
 	segLen  int64    // bytes written to the active segment
 	segs    []uint64 // all segment base sequences, ascending (incl. active)
-	snaps   []uint64 // all snapshot sequences, ascending
 	nextSeq uint64
 	dirty   bool // unsynced bytes in the active segment
 	closed  bool
@@ -225,14 +230,10 @@ func Open(opts Options) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
-// segPath / snapPath name the on-disk files; sequences are zero-padded hex
-// so lexical order is numeric order.
+// segPath names a segment file; sequences are zero-padded hex so lexical
+// order is numeric order.
 func (l *Log) segPath(base uint64) string {
 	return filepath.Join(l.opts.Dir, fmt.Sprintf("%s%016x%s", segPrefix, base, segSuffix))
-}
-
-func (l *Log) snapPath(seq uint64) string {
-	return filepath.Join(l.opts.Dir, fmt.Sprintf("%s%016x%s", snapPrefix, seq, snapSuffix))
 }
 
 func parseSeq(name, prefix, suffix string) (uint64, bool) {
@@ -278,125 +279,112 @@ func scanFrames(data []byte) (recs []scannedRec, validLen int, torn bool) {
 	return recs, off, false
 }
 
-// recover scans the directory, truncates any torn tail, and leaves the log
-// positioned to append after the last durable record.
+// segScan is one segment file as recovery read it.
+type segScan struct {
+	base     uint64
+	frames   []scannedRec
+	validLen int // bytes of intact frames; less than size when torn
+	size     int
+}
+
+func (s *segScan) end() uint64 { return s.base + uint64(len(s.frames)) }
+
+// recover scans the directory, picks the run of segments to resume from,
+// removes every other segment, truncates a torn tail, and leaves the log
+// positioned to append after the last intact record.
 func (l *Log) recover() (*Recovery, error) {
 	entries, err := os.ReadDir(l.opts.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	var segs, snaps []uint64
+	var segs []segScan
 	for _, e := range entries {
 		if seq, ok := parseSeq(e.Name(), segPrefix, segSuffix); ok {
-			segs = append(segs, seq)
-		} else if seq, ok := parseSeq(e.Name(), snapPrefix, snapSuffix); ok {
-			snaps = append(snaps, seq)
+			segs = append(segs, segScan{base: seq})
+		} else if _, ok := parseSeq(e.Name(), oldSnapPrefix, oldSnapSuffix); ok {
+			return nil, fmt.Errorf("%w: %s holds snapshot file %s", ErrOldFormat, l.opts.Dir, e.Name())
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
+	sort.Slice(segs, func(i, j int) bool { return segs[i].base < segs[j].base })
+	for i := range segs {
+		data, err := os.ReadFile(l.segPath(segs[i].base))
+		if err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
+		}
+		segs[i].frames, segs[i].validLen, _ = scanFrames(data)
+		segs[i].size = len(data)
+	}
+
+	// A segment continues the run before it when that run's last segment
+	// is intact and ends exactly where this one begins. Recover from the
+	// run holding the newest record (any run when none holds one).
+	continues := func(i int) bool {
+		p := &segs[i-1]
+		return p.validLen == p.size && p.end() == segs[i].base
+	}
+	lo, hi := 0, 0
+	if len(segs) > 0 {
+		newest := len(segs) - 1
+		for newest > 0 && len(segs[newest].frames) == 0 {
+			newest--
+		}
+		lo, hi = newest, newest+1
+		for lo > 0 && continues(lo) {
+			lo--
+		}
+		for hi < len(segs) && continues(hi) {
+			hi++
+		}
+	}
 
 	rec := &Recovery{}
-	var startSeq uint64
-	for i := len(snaps) - 1; i >= 0; i-- {
-		data, ok := readSnapshotFile(l.snapPath(snaps[i]))
-		if !ok {
-			rec.CorruptSnapshots++
-			continue
-		}
-		rec.Snapshot = data
-		rec.SnapshotSeq = snaps[i]
-		startSeq = snaps[i]
-		break
-	}
-
-	// Replay segments in order. After the first torn record every later
-	// segment is a post-corruption remnant and is removed: appending past a
-	// truncation point must not resurrect stale future records.
-	var nextSeq uint64
-	kept := segs[:0]
-	truncated := false
-	for i, base := range segs {
-		path := l.segPath(base)
-		if truncated || (i > 0 && base != nextSeq) {
-			// Either past a truncation point, or a sequence gap (a missing
-			// or foreign segment file): nothing after it can be trusted.
-			if err := os.Remove(path); err != nil {
+	for i := range segs {
+		if i < lo || i >= hi {
+			if err := os.Remove(l.segPath(segs[i].base)); err != nil {
 				return nil, fmt.Errorf("wal: dropping segment: %w", err)
 			}
 			rec.DroppedSegments++
-			truncated = true
-			continue
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		frames, validLen, torn := scanFrames(data)
-		if torn {
-			rec.Truncations++
-			rec.TruncatedBytes += int64(len(data) - validLen)
-			if err := os.Truncate(path, int64(validLen)); err != nil {
-				return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
-			}
-			truncated = true
-		}
-		for j, fr := range frames {
-			seq := base + uint64(j)
-			if seq >= startSeq {
-				rec.Records = append(rec.Records, Record{Seq: seq, Type: fr.typ, Data: fr.data})
-			}
-		}
-		nextSeq = base + uint64(len(frames))
-		kept = append(kept, base)
 	}
-	if nextSeq < startSeq {
-		// All segments covered by the snapshot were compacted away.
-		nextSeq = startSeq
-	}
-	l.segs = kept
-	l.snaps = snaps
-	l.nextSeq = nextSeq
-	if l.met != nil {
-		l.met.truncations.Add(uint64(rec.Truncations))
-	}
-
-	// Open (or create) the active segment.
-	if len(l.segs) > 0 {
-		base := l.segs[len(l.segs)-1]
-		f, err := os.OpenFile(l.segPath(base), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		l.seg = f
-		l.segBase = base
-		l.segLen = st.Size()
-	} else {
-		if err := l.openSegmentLocked(nextSeq); err != nil {
+	if rec.DroppedSegments > 0 {
+		if err := syncDir(l.opts.Dir); err != nil {
 			return nil, err
 		}
 	}
+	run := segs[lo:hi]
+	for _, sg := range run {
+		for j, fr := range sg.frames {
+			rec.Records = append(rec.Records, Record{Seq: sg.base + uint64(j), Type: fr.typ, Data: fr.data})
+		}
+		l.segs = append(l.segs, sg.base)
+	}
+	if len(run) == 0 {
+		return rec, l.openSegmentLocked(0)
+	}
+
+	// Only a run's last segment can be torn (a tear ends a run): cut the
+	// tail there and reopen that segment for appends.
+	last := run[len(run)-1]
+	if last.validLen < last.size {
+		rec.Truncations++
+		rec.TruncatedBytes = int64(last.size - last.validLen)
+		if err := os.Truncate(l.segPath(last.base), int64(last.validLen)); err != nil {
+			return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
+		}
+		if l.met != nil {
+			l.met.truncations.Inc()
+		}
+	}
+	f, err := os.OpenFile(l.segPath(last.base), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	l.seg = f
+	l.segBase = last.base
+	l.segLen = int64(last.validLen)
+	l.nextSeq = last.end()
 	l.observeSegments()
 	return rec, nil
-}
-
-// readSnapshotFile validates a snapshot file: exactly one intact frame of
-// the snapshot type.
-func readSnapshotFile(path string) ([]byte, bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	frames, _, torn := scanFrames(data)
-	if torn || len(frames) != 1 || frames[0].typ != snapFrameType {
-		return nil, false
-	}
-	return frames[0].data, true
 }
 
 // openSegmentLocked creates a fresh segment whose first record will carry
@@ -447,6 +435,8 @@ func (l *Log) fail(err error) error {
 // Append writes one record and returns its sequence number. Under
 // SyncEveryRecord the record is durable on return; under the other
 // policies durability arrives at the next SlotSync / timer tick / Close.
+// The record must supersede every earlier one: the rotation it may
+// trigger deletes the segments before the one it seals.
 func (l *Log) Append(typ byte, data []byte) (uint64, error) {
 	if typ >= snapFrameType {
 		return 0, fmt.Errorf("wal: record type %#x reserved", typ)
@@ -537,8 +527,12 @@ func (l *Log) SlotSync() error {
 	return l.Sync()
 }
 
-// rotateLocked seals the active segment (flush + fsync) and opens a fresh
-// one starting at the next sequence.
+// rotateLocked seals the active segment (flush + fsync), deletes every
+// older segment — the sealed segment's newest record supersedes them all —
+// and opens a fresh segment starting at the next sequence. The new
+// segment's directory fsync also persists the deletions; a deletion that
+// fails or never reaches disk leaves a stale segment that the next
+// rotation retries and recovery skips.
 func (l *Log) rotateLocked() error {
 	if l.segLen == 0 && l.segBase == l.nextSeq {
 		return nil // already fresh
@@ -549,87 +543,17 @@ func (l *Log) rotateLocked() error {
 	if err := l.seg.Close(); err != nil {
 		return l.fail(fmt.Errorf("wal: %w", err))
 	}
-	if err := l.openSegmentLocked(l.nextSeq); err != nil {
-		return l.fail(err)
-	}
-	return nil
-}
-
-// Snapshot atomically persists a full-state snapshot covering every record
-// appended so far, then compacts: segments fully covered by the oldest
-// retained snapshot are deleted, as are snapshots older than the retention
-// window. After Snapshot returns, recovery needs only the snapshot plus
-// records appended after this call.
-func (l *Log) Snapshot(data []byte) error {
-	if len(data) > MaxRecord {
-		return fmt.Errorf("wal: snapshot %d bytes exceeds %d", len(data), MaxRecord)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	// Seal the segment first: a snapshot must never cover records that are
-	// not themselves durable yet.
-	if err := l.syncLocked(); err != nil {
-		return err
-	}
-	seq := l.nextSeq
-	path := l.snapPath(seq)
-	tmp := path + ".tmp"
-	frame := make([]byte, 0, headerSize+len(data)+crcSize)
-	frame = append(frame, frameMagic, frameVersion, snapFrameType,
-		byte(len(data)>>16), byte(len(data)>>8), byte(len(data)))
-	frame = append(frame, data...)
-	var crcb [crcSize]byte
-	binary.BigEndian.PutUint32(crcb[:], crc32.Checksum(frame, castagnoli))
-	frame = append(frame, crcb[:]...)
-	if err := writeFileSync(tmp, frame); err != nil {
-		return l.fail(err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return l.fail(fmt.Errorf("wal: %w", err))
-	}
-	if err := syncDir(l.opts.Dir); err != nil {
-		return l.fail(err)
-	}
-	l.snaps = append(l.snaps, seq)
-	if l.met != nil {
-		l.met.snapshots.Inc()
-		l.met.snapshotBytes.Set(float64(len(data)))
-	}
-	// Rotate so every earlier segment is fully covered by this snapshot,
-	// then compact behind the retention window.
-	if err := l.rotateLocked(); err != nil {
-		return err
-	}
-	return l.compactLocked()
-}
-
-// compactLocked deletes snapshots older than the retention window and
-// segments whose entire sequence range is below the oldest retained
-// snapshot. Best-effort removals never fail the log: leftover files only
-// cost disk, and the next compaction retries.
-func (l *Log) compactLocked() error {
-	if len(l.snaps) > retainSnapshots {
-		for _, seq := range l.snaps[:len(l.snaps)-retainSnapshots] {
-			_ = os.Remove(l.snapPath(seq))
-		}
-		l.snaps = append(l.snaps[:0], l.snaps[len(l.snaps)-retainSnapshots:]...)
-	}
-	floor := l.snaps[0] // oldest retained; Snapshot just appended, so non-empty
 	kept := l.segs[:0]
-	for i, base := range l.segs {
-		// A segment's range ends where the next one begins; the active
-		// (last) segment is never removed.
-		if i+1 < len(l.segs) && l.segs[i+1] <= floor {
-			_ = os.Remove(l.segPath(base))
+	for _, base := range l.segs {
+		if base < l.segBase && os.Remove(l.segPath(base)) == nil {
 			continue
 		}
 		kept = append(kept, base)
 	}
 	l.segs = kept
-	l.observeSegments()
+	if err := l.openSegmentLocked(l.nextSeq); err != nil {
+		return l.fail(err)
+	}
 	return nil
 }
 
@@ -700,24 +624,4 @@ func (l *Log) Kill() {
 	}
 	l.mu.Unlock()
 	l.stopTimer()
-}
-
-// writeFileSync writes data to path and fsyncs it before closing.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return nil
 }

@@ -2,9 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -132,99 +134,141 @@ func TestRecoveryTruncatesCorruptRecord(t *testing.T) {
 	}
 }
 
-func TestSnapshotCompaction(t *testing.T) {
-	dir := t.TempDir()
-	// Tiny segments so appends rotate often.
-	l, _ := openT(t, Options{Dir: dir, Policy: SyncEverySlot, SegmentBytes: 64})
-	for i := 0; i < 20; i++ {
-		if _, err := l.Append(1, bytes.Repeat([]byte{byte(i)}, 40)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Snapshot([]byte("state-at-20")); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	for i := 20; i < 25; i++ {
-		if _, err := l.Append(1, bytes.Repeat([]byte{byte(i)}, 40)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Snapshot([]byte("state-at-25")); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	for i := 25; i < 28; i++ {
-		if _, err := l.Append(1, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Segments fully below the oldest retained snapshot (seq 20) are gone.
+// segFiles lists the segment bases on disk, ascending.
+func segFiles(t *testing.T, dir string) []uint64 {
+	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var bases []uint64
 	for _, e := range ents {
-		if base, ok := parseSeq(e.Name(), segPrefix, segSuffix); ok && base < 19 {
-			t.Fatalf("segment %s should have been compacted", e.Name())
+		if base, ok := parseSeq(e.Name(), segPrefix, segSuffix); ok {
+			bases = append(bases, base)
 		}
 	}
+	return bases
+}
 
-	l2, rec := openT(t, Options{Dir: dir})
-	defer l2.Close()
-	if string(rec.Snapshot) != "state-at-25" || rec.SnapshotSeq != 25 {
-		t.Fatalf("snapshot = %q @ %d, want state-at-25 @ 25", rec.Snapshot, rec.SnapshotSeq)
-	}
-	if len(rec.Records) != 3 || rec.Records[0].Seq != 25 {
-		t.Fatalf("replay records = %+v, want 3 from seq 25", rec.Records)
+// appendN appends records from..to-1, each a 20-byte payload of its
+// sequence number; with SegmentBytes 64 a segment seals after 3 records.
+func appendN(t *testing.T, l *Log, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		if _, err := l.Append(1, bytes.Repeat([]byte{byte(i)}, 20)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-func TestCorruptSnapshotFallsBack(t *testing.T) {
+func TestRotationKeepsSealedAndActiveSegments(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openT(t, Options{Dir: dir, Policy: SyncEverySlot})
-	for i := 0; i < 6; i++ {
-		if _, err := l.Append(1, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
+	l, _ := openT(t, Options{Dir: dir, Policy: SyncEverySlot, SegmentBytes: 64})
+	for i := 0; i < 20; i++ {
+		appendN(t, l, i, i+1)
+		if segs := segFiles(t, dir); len(segs) > 2 {
+			t.Fatalf("after record %d: %d segments on disk %v, want at most 2", i, len(segs), segs)
 		}
-	}
-	if err := l.Snapshot([]byte("snap-6")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 6; i < 9; i++ {
-		if _, err := l.Append(1, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Snapshot([]byte("snap-9")); err != nil {
-		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the newest snapshot at rest: recovery must fall back to the
-	// older one and replay the records it still has on disk.
-	newest := filepath.Join(dir, fmt.Sprintf("%s%016x%s", snapPrefix, 9, snapSuffix))
-	data, err := os.ReadFile(newest)
+	// Records 0..17 sealed six segments; 18 and 19 sit in the active one.
+	if segs := segFiles(t, dir); !reflect.DeepEqual(segs, []uint64{15, 18}) {
+		t.Fatalf("segments %v, want [15 18]", segs)
+	}
+	l2, rec := openT(t, Options{Dir: dir})
+	defer l2.Close()
+	if n := len(rec.Records); n != 5 || rec.Records[0].Seq != 15 || rec.Records[n-1].Data[0] != 19 {
+		t.Fatalf("recovered %+v, want seqs 15..19", rec.Records)
+	}
+	if seq, err := l2.Append(1, nil); err != nil || seq != 20 {
+		t.Fatalf("Append after recovery: seq=%d err=%v", seq, err)
+	}
+}
+
+// corruptRecord flips a payload byte of record seq inside segment base.
+func corruptRecord(t *testing.T, l *Log, base, seq uint64) {
+	t.Helper()
+	path := l.segPath(base)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-1] ^= 0xFF
-	if err := os.WriteFile(newest, data, 0o644); err != nil {
+	data[int(seq-base)*(headerSize+20+crcSize)+headerSize] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
 
+func TestCorruptNewestRecordFallsBack(t *testing.T) {
+	// Newest record in the active segment: the sealed one stays behind it.
+	dir := t.TempDir()
+	l, _ := openT(t, Options{Dir: dir, Policy: SyncEverySlot, SegmentBytes: 64})
+	appendN(t, l, 0, 7) // [3 4 5] sealed, [6] active
+	l.Close()
+	corruptRecord(t, l, 6, 6)
+	l2, rec := openT(t, Options{Dir: dir})
+	if n := len(rec.Records); n != 3 || rec.Records[n-1].Seq != 5 || rec.Truncations != 1 {
+		t.Fatalf("recovered %+v (%d truncations), want seqs 3..5 after 1 truncation", rec.Records, rec.Truncations)
+	}
+	l2.Close()
+
+	// Newest record ends the sealed segment and the active one is empty:
+	// recovery falls back inside the sealed segment and appends there.
+	dir = t.TempDir()
+	l, _ = openT(t, Options{Dir: dir, Policy: SyncEverySlot, SegmentBytes: 64})
+	appendN(t, l, 0, 6) // [3 4 5] sealed, [] active
+	l.Close()
+	corruptRecord(t, l, 3, 5)
+	l3, rec := openT(t, Options{Dir: dir})
+	defer l3.Close()
+	if n := len(rec.Records); n != 2 || rec.Records[n-1].Seq != 4 || rec.DroppedSegments != 1 {
+		t.Fatalf("recovered %+v (%d dropped), want seqs 3..4 with the empty segment dropped", rec.Records, rec.DroppedSegments)
+	}
+	if seq, err := l3.Append(1, nil); err != nil || seq != 5 {
+		t.Fatalf("Append after fallback: seq=%d err=%v", seq, err)
+	}
+}
+
+func TestStaleSegmentNeverDropsNewerOnes(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, Options{Dir: dir, Policy: SyncEverySlot, SegmentBytes: 64})
+	appendN(t, l, 0, 3) // seals [0 1 2]
+	stale, err := os.ReadFile(l.segPath(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 3, 10) // seals [3 4 5] and [6 7 8], deleting 0 and 3
+	l.Close()
+	// A deletion that never reached disk brings segment 0 back, with the
+	// gap of the deleted segment 3 behind it.
+	if err := os.WriteFile(l.segPath(0), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	l2, rec := openT(t, Options{Dir: dir})
 	defer l2.Close()
-	if rec.CorruptSnapshots != 1 {
-		t.Fatalf("CorruptSnapshots = %d, want 1", rec.CorruptSnapshots)
+	if n := len(rec.Records); n != 4 || rec.Records[n-1].Seq != 9 || rec.DroppedSegments != 1 {
+		t.Fatalf("recovered %+v (%d dropped), want seqs 6..9 with the stale segment dropped", rec.Records, rec.DroppedSegments)
 	}
-	if string(rec.Snapshot) != "snap-6" || rec.SnapshotSeq != 6 {
-		t.Fatalf("fell back to %q @ %d, want snap-6 @ 6", rec.Snapshot, rec.SnapshotSeq)
+	if segs := segFiles(t, dir); !reflect.DeepEqual(segs, []uint64{6, 9}) {
+		t.Fatalf("segments %v, want [6 9]", segs)
 	}
-	if len(rec.Records) != 3 || rec.Records[0].Seq != 6 {
-		t.Fatalf("replay records = %+v, want seqs 6..8", rec.Records)
+}
+
+func TestSnapshotFileRefusesDir(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, Options{Dir: dir})
+	appendN(t, l, 0, 2)
+	l.Close()
+	if err := os.WriteFile(filepath.Join(dir, "snap-0000000000000002.snap"), []byte{frameMagic}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(Options{Dir: dir}); !errors.Is(err, ErrOldFormat) {
+		t.Fatalf("Open over a snapshot file: %v, want ErrOldFormat", err)
+	}
+	if segs := segFiles(t, dir); len(segs) != 1 {
+		t.Fatalf("refusal touched the segments: %v", segs)
 	}
 }
 
@@ -282,15 +326,12 @@ func TestMetricsFamilies(t *testing.T) {
 	if _, err := l.Append(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Snapshot([]byte("s")); err != nil {
-		t.Fatal(err)
-	}
 	l.Close()
 	for name, want := range map[string]float64{
-		"spotdc_wal_appends_total":   1,
-		"spotdc_wal_fsyncs_total":    1, // record-policy append; snapshot seal finds nothing dirty
-		"spotdc_wal_snapshots_total": 1,
-		"spotdc_wal_snapshot_bytes":  1,
+		"spotdc_wal_appends_total":      1,
+		"spotdc_wal_append_bytes_total": headerSize + 1 + crcSize,
+		"spotdc_wal_fsyncs_total":       1, // record-policy append; Close finds nothing dirty
+		"spotdc_wal_segments":           1,
 	} {
 		if got, ok := reg.Value(name); !ok || got != want {
 			t.Errorf("%s = %v (ok=%v), want %v", name, got, ok, want)

@@ -56,11 +56,11 @@ import (
 	"spotdc/internal/otrace"
 	"spotdc/internal/par"
 	"spotdc/internal/power"
+	"spotdc/internal/powertrace"
 	"spotdc/internal/proto"
 	"spotdc/internal/rackpdu"
 	"spotdc/internal/sim"
 	"spotdc/internal/tenant"
-	"spotdc/internal/trace"
 	"spotdc/internal/wal"
 	"spotdc/internal/workload"
 )
@@ -242,7 +242,7 @@ type (
 	// OppCost is the linear completion-time cost model.
 	OppCost = workload.OppCost
 	// LoadTrace is a sampled load or power time series.
-	LoadTrace = trace.Power
+	LoadTrace = powertrace.Power
 )
 
 // Bidding policies (re-exported from internal/tenant).
@@ -622,13 +622,15 @@ func ParseTraceparent(s string) (SpanContext, error) { return otrace.ParseTracep
 func TraceHandler(t *Tracer) http.Handler { return otrace.TraceHandler(t) }
 
 // Durable operator state (internal/wal + internal/proto): an append-only
-// segmented write-ahead log with periodic snapshots, and crash recovery
-// that resumes the market at the slot after the last committed record.
+// segmented write-ahead log holding the operator's full state once per
+// slot, and crash recovery that restores the newest intact record and
+// resumes the market at the slot after it.
 // Durability is strictly opt-in: set MarketNodeConfig.WAL.Dir and
 // NewMarketNode opens, recovers and commits to the log. See DESIGN §4h.
 type (
 	// WriteAheadLog is the append-only segmented log (CRC32C-framed
-	// records, configurable fsync policy, snapshot-driven compaction).
+	// records, configurable fsync policy, superseded segments deleted on
+	// rotation).
 	WriteAheadLog = wal.Log
 	// WALOptions configures a node's log (MarketNodeConfig.WAL: state
 	// directory, fsync policy, segment size).
